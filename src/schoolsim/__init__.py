@@ -10,10 +10,10 @@ sweeps over school size.
 
 __version__ = "0.1.0"
 
-from .geometry import (Arena, AxisRect, BoundaryHit, Vec2, clamp_inside,
-                       mirror, ray_first_hit, reflect)
+from .geometry import (Arena, AxisRect, Vec2, clamp_many, contains_many,
+                       ray_hits_many)
 from .scent import (FieldSolveError, FoodSpec, GridError, ScentField,
-                    read_field_csv, sample_gradient, sample_value,
+                    read_field_csv, sample_gradient_many, sample_value_many,
                     solve_field, write_field_csv)
 from .dynamics import (ForceBlowUpError, ModelParams, SwarmState, advance,
                        step, total_forces)
@@ -26,11 +26,11 @@ from .config import ConfigError, RunSpec, SweepSpec, parse_config, write_config
 
 __all__ = [
     "__version__",
-    "Arena", "AxisRect", "BoundaryHit", "Vec2", "clamp_inside", "mirror",
-    "ray_first_hit", "reflect",
+    "Arena", "AxisRect", "Vec2", "clamp_many", "contains_many",
+    "ray_hits_many",
     "FieldSolveError", "FoodSpec", "GridError", "ScentField",
-    "read_field_csv", "sample_gradient", "sample_value", "solve_field",
-    "write_field_csv",
+    "read_field_csv", "sample_gradient_many", "sample_value_many",
+    "solve_field", "write_field_csv",
     "ForceBlowUpError", "ModelParams", "SwarmState", "advance", "step",
     "total_forces",
     "Classifier", "OutcomeState", "classify", "connected_components",

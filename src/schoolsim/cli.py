@@ -23,14 +23,14 @@ from pathlib import Path
 
 from . import __version__
 from .config import ConfigError, RunSpec, config_to_dict, parse_config
-from .experiment import (run_sweep, run_trial, read_results_csv,
+from .experiment import (RESULTS_CSV_HEADER, TRAJECTORY_CSV_HEADER,
+                         run_sweep, run_trial, read_results_csv,
                          read_trajectory_csv, write_results_csv,
                          write_trials_csv, write_trajectory_csv)
 from .metrics import DEFAULT_COMPONENT_DELTA
 from .plots import render_heatmap, render_success_curve, render_trajectories
 from .scent import (FIELD_CSV_HEADER, read_field_csv, solve_field,
                     write_field_csv)
-from .experiment import RESULTS_CSV_HEADER, TRAJECTORY_CSV_HEADER
 
 DEFAULT_TRAJ_STRIDE = 10
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Arena, Vec2, clamp_many, ray_hits_many
+from .geometry import Arena, clamp_many, ray_hits_many
 from .scent import ScentField, sample_gradient_many
 
 # Pairwise and wall distances are floored here before entering the
@@ -104,20 +104,6 @@ def _pair_kernels(positions: np.ndarray, params: ModelParams):
     return diff, rp, rq
 
 
-def interaction_forces(positions: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Attraction/repulsion force on every fish, shape (N, 2)."""
-    diff, rp, rq = _pair_kernels(positions, params)
-    return -params.attraction * np.einsum("ij,ijk->ik", rp - rq, diff)
-
-
-def alignment_forces(positions: np.ndarray, velocities: np.ndarray,
-                     params: ModelParams) -> np.ndarray:
-    """Velocity-matching force on every fish, shape (N, 2)."""
-    diff, rp, rq = _pair_kernels(positions, params)
-    dv = velocities[:, None, :] - velocities[None, :, :]
-    return -params.alignment * np.einsum("ij,ijk->ik", rp + rq, dv)
-
-
 def obstacle_forces(positions: np.ndarray, velocities: np.ndarray,
                     arena: Arena, params: ModelParams) -> np.ndarray:
     """Boundary-avoidance force on every fish, shape (N, 2).
@@ -134,14 +120,6 @@ def obstacle_forces(positions: np.ndarray, velocities: np.ndarray,
     force = (-params.avoidance * coef * 2.0 * vn)[:, None] * normals
     force[~has_hit] = 0.0
     return force
-
-
-def food_forces(positions: np.ndarray, field: ScentField | None,
-                params: ModelParams) -> np.ndarray:
-    """Scent-seeking force on every fish, shape (N, 2)."""
-    if field is None or params.sensitivity == 0.0:
-        return np.zeros_like(positions)
-    return params.sensitivity * sample_gradient_many(field, positions)
 
 
 def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
@@ -161,34 +139,6 @@ def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
     if params.sensitivity != 0.0 and field is not None:
         force += params.sensitivity * sample_gradient_many(field, positions)
     return force
-
-
-def interaction_force(i: int, state: SwarmState, params: ModelParams) -> Vec2:
-    f = interaction_forces(state.positions, params)[i]
-    return Vec2(f[0], f[1])
-
-
-def alignment_force(i: int, state: SwarmState, params: ModelParams) -> Vec2:
-    f = alignment_forces(state.positions, state.velocities, params)[i]
-    return Vec2(f[0], f[1])
-
-
-def obstacle_force(i: int, state: SwarmState, arena: Arena, params: ModelParams) -> Vec2:
-    f = obstacle_forces(state.positions, state.velocities, arena, params)[i]
-    return Vec2(f[0], f[1])
-
-
-def food_force(i: int, state: SwarmState, field: ScentField, params: ModelParams) -> Vec2:
-    f = food_forces(state.positions, field, params)[i]
-    return Vec2(f[0], f[1])
-
-
-def cap_speed(v: Vec2, vmax: float) -> Vec2:
-    """Rescale v onto the speed limit when it exceeds vmax."""
-    speed = v.norm()
-    if speed <= vmax:
-        return v
-    return v * (vmax / speed)
 
 
 def _cap_many(vel: np.ndarray, vmax: float) -> np.ndarray:

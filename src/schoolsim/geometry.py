@@ -1,9 +1,10 @@
 """Arena geometry: rectangular tank with axis-aligned rectangular obstacles.
 
 Provides point containment tests, first-hit ray casting against the walls
-and obstacle faces, specular reflection of velocities, and clamping of
-points back into the fluid region.  All boundaries are axis-aligned, so
-hits and normals are computed with the slab method face by face.
+and obstacle faces, and clamping of points back into the fluid region.
+Each kernel takes an (N, 2) array of points; one point is a 1-row array.
+All boundaries are axis-aligned, so hits and normals are computed with the
+slab method face by face.
 """
 
 from dataclasses import dataclass, field
@@ -31,26 +32,6 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"Vec2 components must be finite, got ({self.x}, {self.y})")
 
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> "Vec2":
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vec2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class AxisRect:
@@ -74,14 +55,6 @@ class AxisRect:
     def height(self) -> float:
         return self.hi.y - self.lo.y
 
-    def contains_point(self, p: Vec2) -> bool:
-        """Closed containment: boundary points count as inside."""
-        return self.lo.x <= p.x <= self.hi.x and self.lo.y <= p.y <= self.hi.y
-
-    def interior_contains(self, p: Vec2) -> bool:
-        """Open containment: boundary points are outside the interior."""
-        return self.lo.x < p.x < self.hi.x and self.lo.y < p.y < self.hi.y
-
     def intersects_interior(self, other: "AxisRect") -> bool:
         """True if the open interiors of the two rectangles overlap."""
         return (
@@ -90,19 +63,6 @@ class AxisRect:
             and self.lo.y < other.hi.y
             and other.lo.y < self.hi.y
         )
-
-
-@dataclass(frozen=True)
-class BoundaryHit:
-    """First intersection of a ray with the fluid boundary.
-
-    ``normal`` is the unit normal at the hit point oriented into the fluid;
-    ``distance`` is the Euclidean distance from the ray origin.
-    """
-
-    point: Vec2
-    normal: Vec2
-    distance: float
 
 
 @dataclass
@@ -204,15 +164,12 @@ class Arena:
         )
 
 
-def contains(arena: Arena, p: Vec2) -> bool:
-    """True iff p lies in the closed bounds and outside every obstacle interior."""
-    if not arena.bounds.contains_point(p):
-        return False
-    return not any(ob.interior_contains(p) for ob in arena.obstacles)
-
-
 def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
-    """Vectorized `contains` for an (N, 2) array of points."""
+    """True where a point of the (N, 2) array lies in the fluid.
+
+    The fluid is the closed bounds minus every open obstacle interior, so
+    wall and obstacle-face points count as inside.
+    """
     b = arena.bounds
     x, y = pts[:, 0], pts[:, 1]
     ok = (x >= b.lo.x) & (x <= b.hi.x) & (y >= b.lo.y) & (y <= b.hi.y)
@@ -282,52 +239,14 @@ def ray_hits_many(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
     return has_hit, points, normals, distances
 
 
-def ray_first_hit(arena: Arena, origin: Vec2, direction: Vec2):
-    """Nearest boundary intersection of the ray from origin, or None.
-
-    The origin must lie in the fluid region; a zero direction yields None
-    rather than an error.
-    """
-    if not contains(arena, origin):
-        raise ValueError(f"ray origin ({origin.x}, {origin.y}) is outside the fluid region")
-    if direction.x == 0.0 and direction.y == 0.0:
-        return None
-    has_hit, pts, nrm, dist = ray_hits_many(
-        arena, origin.as_array()[None, :], direction.as_array()[None, :]
-    )
-    if not has_hit[0]:
-        return None
-    return BoundaryHit(
-        point=Vec2(pts[0, 0], pts[0, 1]),
-        normal=Vec2(nrm[0, 0], nrm[0, 1]),
-        distance=float(dist[0]),
-    )
-
-
-def mirror(v: Vec2, normal: Vec2) -> Vec2:
-    """Specular image of v across the plane with the given unit normal."""
-    d = 2.0 * v.dot(normal)
-    return Vec2(v.x - d * normal.x, v.y - d * normal.y)
-
-
-def reflect(arena: Arena, x: Vec2, v: Vec2):
-    """Reflected velocity at the first boundary the ray from x along v meets.
-
-    Returns ``(rf, hit)``.  When the ray meets no boundary (zero velocity),
-    rf is v itself and hit is None.  The reflection preserves the norm of v.
-    """
-    hit = ray_first_hit(arena, x, v)
-    if hit is None:
-        return v, None
-    return mirror(v, hit.normal), hit
-
-
 def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
     """Clamp N points into the fluid region, eps away from the boundary.
 
     Returns ``(clamped, moved)`` where moved is an (N, 2) boolean mask of
     the coordinates that were adjusted (i.e. the local boundary normal
-    directions involved).
+    directions involved).  A fluid point within eps of an outer wall is
+    moved to eps and flagged; one within eps of an obstacle face is left
+    alone.
     """
     b = arena.bounds
     out = pts.copy()
@@ -360,12 +279,3 @@ def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
                 out[sel, axis] = target
                 moved[sel, axis] = True
     return out, moved
-
-
-def clamp_inside(arena: Arena, p: Vec2, eps: float) -> Vec2:
-    """Return p unchanged if it lies in the fluid, else the nearest fluid
-    point displaced eps inward from the boundary."""
-    if contains(arena, p):
-        return p
-    out, _ = clamp_many(arena, p.as_array()[None, :], eps)
-    return Vec2(out[0, 0], out[0, 1])

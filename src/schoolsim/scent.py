@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .geometry import Arena, AxisRect, Vec2, contains
+from .geometry import Arena, Vec2
 
 DEFAULT_SPACING = 0.02
 GRID_TOL = 1e-9
@@ -288,31 +288,21 @@ def _bilinear(field: ScentField, pts: np.ndarray, data: np.ndarray) -> np.ndarra
 
 
 def sample_value_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
-    """Interpolated scent values at (M, 2) points assumed to lie in the fluid."""
+    """Interpolated scent values at (M, 2) points assumed to lie in the fluid.
+
+    A point whose 2x2 stencil holds no fluid cell, such as one deep inside
+    an obstacle, gives NaN.
+    """
     return _bilinear(field, pts, field.values)
 
 
 def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
-    """Interpolated scent gradients at (M, 2) points assumed to lie in the fluid."""
+    """Interpolated scent gradients at (M, 2) points assumed to lie in the fluid.
+
+    A point whose 2x2 stencil holds no fluid cell, such as one deep inside
+    an obstacle, gives NaN; step() then raises ForceBlowUpError.
+    """
     return _bilinear(field, pts, field.grad)
-
-
-def _check_sample_point(field: ScentField, p: Vec2):
-    if field.arena is not None and not contains(field.arena, p):
-        raise ValueError(f"sample point ({p.x}, {p.y}) is outside the fluid region")
-
-
-def sample_value(field: ScentField, p: Vec2) -> float:
-    """Scent value at a fluid point."""
-    _check_sample_point(field, p)
-    return float(sample_value_many(field, p.as_array()[None, :])[0])
-
-
-def sample_gradient(field: ScentField, p: Vec2) -> Vec2:
-    """Scent gradient at a fluid point."""
-    _check_sample_point(field, p)
-    g = sample_gradient_many(field, p.as_array()[None, :])[0]
-    return Vec2(g[0], g[1])
 
 
 def write_field_csv(field: ScentField, path):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from schoolsim.cli import main
-from schoolsim.dynamics import ModelParams, SwarmState, step
+from schoolsim.dynamics import ModelParams, SwarmState, step, total_forces
 from schoolsim.experiment import run_sweep
-from schoolsim.geometry import Arena, AxisRect, Vec2, mirror, ray_hits_many, reflect
+from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many, ray_hits_many
 from schoolsim.scent import FoodSpec, solve_field
 
 
@@ -96,14 +96,19 @@ def brute_first_hit(arena, origin, direction):
 
 
 def random_fluid_points(arena, n, rng):
-    from schoolsim.geometry import contains_many
-    lo = arena.bounds.lo.as_array()
-    hi = arena.bounds.hi.as_array()
+    b = arena.bounds
+    lo, hi = [b.lo.x, b.lo.y], [b.hi.x, b.hi.y]
     pts = np.empty((0, 2))
     while len(pts) < n:
         cand = rng.uniform(lo, hi, size=(2 * n, 2))
         pts = np.concatenate([pts, cand[contains_many(arena, cand)]])
     return pts[:n]
+
+
+def specular(v, n):
+    """Image of each row of v across the plane with unit normal n: v - 2(v.n)n."""
+    d = 2.0 * (v[:, 0] * n[:, 0] + v[:, 1] * n[:, 1])
+    return v - d[:, None] * n
 
 
 def test_c03_reflection_suite():
@@ -112,6 +117,8 @@ def test_c03_reflection_suite():
         Arena(rect(0, 0, 4, 4), (rect(2, 2.5, 2.5, 4),)),
         Arena(rect(0, 0, 7, 4), (rect(2, 2.5, 2.5, 4), rect(4.5, 0, 5, 1.5))),
     ]
+    avoid = ModelParams(attraction=0.0, alignment=0.0, avoidance=1.7, sensitivity=0.0)
+    axis_dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     rng = np.random.default_rng(4242)
     n = 10_000
     bad = 0
@@ -123,6 +130,8 @@ def test_c03_reflection_suite():
         vels = speeds[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])
         has_hit, _, nrm, dist = ray_hits_many(arena, origins, vels)
         bad += int((~has_hit).sum())
+        rfs = specular(vels, nrm)
+        backs = specular(rfs, nrm)  # mirroring twice is the identity
         for i in range(n):
             s, axis, sign = brute_first_hit(arena, origins[i], vels[i])
             # s parametrizes the unnormalized ray; the library reports
@@ -130,34 +139,35 @@ def test_c03_reflection_suite():
             if not (abs(dist[i] - s * speeds[i]) <= 1e-9 and nrm[i, axis] == sign
                     and nrm[i, 1 - axis] == 0.0):
                 bad += 1
-            x = Vec2(origins[i, 0], origins[i, 1])
-            v = Vec2(vels[i, 0], vels[i, 1])
-            rf, hit = reflect(arena, x, v)
-            if hit is None:
+            v, rf, back = vels[i], rfs[i], backs[i]
+            if abs(np.hypot(*rf) - np.hypot(*v)) > 1e-12 * np.hypot(*v):
                 bad += 1
-                continue
-            if abs(rf.norm() - v.norm()) > 1e-12 * v.norm():
+            if abs(back[0] - v[0]) > 1e-12 or abs(back[1] - v[1]) > 1e-12:
                 bad += 1
-            back = mirror(rf, hit.normal)  # mirroring twice is the identity
-            if abs(back.x - v.x) > 1e-12 or abs(back.y - v.y) > 1e-12:
-                bad += 1
+        # with only avoidance on, the force is the proximity-weighted
+        # difference between the reflected and the incoming velocity
+        force = total_forces(origins, vels, arena, None, avoid)
+        ratio = (avoid.R / dist)[:, None]
+        want = avoid.avoidance * (ratio**avoid.P + ratio**avoid.Q) * (rfs - vels)
+        bad += int((~np.isclose(force, want, rtol=1e-12, atol=0.0)).any(axis=1).sum())
         # head-on impacts reverse the velocity exactly
-        for p in random_fluid_points(arena, 100, rng):
-            x = Vec2(p[0], p[1])
-            for d in (Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1), Vec2(0, -1)):
-                rf, hit = reflect(arena, x, d)
-                if abs(hit.normal.dot(d)) == 1.0:
-                    axis_rays += 1
-                    if rf != Vec2(-d.x, -d.y):
-                        bad += 1
+        pts = random_fluid_points(arena, 100, rng)
+        dirs = np.tile(axis_dirs, (len(pts), 1))
+        has_hit, _, nrm, _ = ray_hits_many(arena, np.repeat(pts, 4, axis=0), dirs)
+        bad += int((~has_hit).sum())
+        head_on = np.abs((nrm * dirs).sum(axis=1)) == 1.0
+        axis_rays += int(head_on.sum())
+        bad += int((specular(dirs, nrm)[head_on] != -dirs[head_on]).any(axis=1).sum())
         # a still ray meets nothing and keeps its (zero) velocity
-        p = random_fluid_points(arena, 1, rng)[0]
-        rf, hit = reflect(arena, Vec2(p[0], p[1]), Vec2(0, 0))
-        if rf != Vec2(0, 0) or hit is not None:
+        p = random_fluid_points(arena, 1, rng)
+        still = np.zeros((1, 2))
+        has_hit, _, nrm, _ = ray_hits_many(arena, p, still)
+        if has_hit[0] or specular(still, nrm).any():
             bad += 1
     ok = bad == 0
-    line = report(3, ok, f"{n} random pairs x {len(arenas)} arenas plus "
-                         f"{axis_rays} head-on rays, {bad} failures")
+    line = report(3, ok, f"{n} random rays x {len(arenas)} arenas (hits, "
+                         f"reflections, avoidance force) plus {axis_rays} "
+                         f"head-on rays, {bad} failures")
     assert ok, line
 
 
@@ -219,6 +229,7 @@ def test_c05_integrator_strong_order():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c06_open_tank_success_rate(open_tank_sweep):
     res, wall = open_tank_sweep
     pt = res.point_for(10)
@@ -228,6 +239,7 @@ def test_c06_open_tank_success_rate(open_tank_sweep):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c07_baffle_success_vs_school_size(config2, field_config2):
     t0 = time.perf_counter()
     res = run_sweep(config2, [2, 5, 20], 50, 1234, field=field_config2)
@@ -245,6 +257,7 @@ def test_c07_baffle_success_vs_school_size(config2, field_config2):
     assert rise_ok, line
 
 
+@pytest.mark.slow
 def test_c08_two_obstacle_outcome_spread(config3, field_config3):
     t0 = time.perf_counter()
     res = run_sweep(config3, [10], 20, 777, field=field_config3)
@@ -258,6 +271,7 @@ def test_c08_two_obstacle_outcome_spread(config3, field_config3):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c09_school_cohesion(open_tank_sweep):
     res, _ = open_tank_sweep
     single = sum(1 for r in res.records if r.components == 1)
@@ -288,6 +302,7 @@ def test_c10_parallel_determinism(tmp_path):
     assert ok, line
 
 
+@pytest.mark.slow
 def test_c11_half_step_robustness(config1_left, field_config1_left):
     fine = replace(config1_left, params=replace(config1_left.params, dt=0.005))
     t0 = time.perf_counter()

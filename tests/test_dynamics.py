@@ -1,13 +1,13 @@
 """Force terms, the speed cap, and the stochastic stepper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from schoolsim.dynamics import (ForceBlowUpError, ModelParams, SwarmState,
-                                advance, alignment_force, cap_speed,
-                                food_force, interaction_force, obstacle_force,
-                                step, total_forces)
-from schoolsim.geometry import Arena, AxisRect, Vec2, contains
+                                advance, step, total_forces)
+from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
 
 
 def rect(x0, y0, x1, y1):
@@ -24,6 +24,18 @@ FREE = ModelParams(avoidance=0.0, sensitivity=0.0, noise=0.0)
 
 def pair(x1, x2, v1=(0, 0), v2=(0, 0)):
     return SwarmState(0.0, np.array([x1, x2], float), np.array([v1, v2], float))
+
+
+TERMS = ("attraction", "alignment", "avoidance", "sensitivity")
+
+
+def only(term, params=CALM):
+    """params with every force coefficient but `term` set to zero."""
+    return replace(params, **{t: 0.0 for t in TERMS if t != term})
+
+
+def forces(state, params, arena=TANK, field=None):
+    return total_forces(state.positions, state.velocities, arena, field, params)
 
 
 # ------------------------------------------------------------------ contracts
@@ -62,79 +74,86 @@ def test_step_needs_noise_source():
 # ---------------------------------------------------------------- force terms
 
 def test_interaction_vanishes_at_preferred_spacing():
-    f = interaction_force(0, pair((0.0, 0.0), (0.1, 0.0)), CALM)
-    assert abs(f.x) < 1e-12 and abs(f.y) < 1e-12
+    fx, fy = forces(pair((0.0, 0.0), (0.1, 0.0)), only("attraction"))[0]
+    assert abs(fx) < 1e-12 and abs(fy) < 1e-12
 
 
 def test_interaction_attracts_beyond_preferred_spacing():
-    f = interaction_force(0, pair((0.0, 0.0), (0.2, 0.0)), CALM)
-    assert f.x == pytest.approx(0.01875, rel=1e-12)
-    assert f.y == 0.0
+    fx, fy = forces(pair((0.0, 0.0), (0.2, 0.0)), only("attraction"))[0]
+    assert fx == pytest.approx(0.01875, rel=1e-12)
+    assert fy == 0.0
 
 
 def test_interaction_repels_in_close():
-    f = interaction_force(0, pair((0.0, 0.0), (0.05, 0.0)), CALM)
-    assert f.x < 0  # pushed away from the neighbor
+    fx, _ = forces(pair((0.0, 0.0), (0.05, 0.0)), only("attraction"))[0]
+    assert fx < 0  # pushed away from the neighbor
 
 
 def test_interaction_pair_antisymmetry():
     rng = np.random.default_rng(11)
     pos = rng.uniform(0.5, 3.5, size=(2, 2))
     st = SwarmState(0.0, pos, np.zeros((2, 2)))
-    f0 = interaction_force(0, st, CALM)
-    f1 = interaction_force(1, st, CALM)
-    assert f0.x == pytest.approx(-f1.x, rel=1e-12, abs=1e-15)
-    assert f0.y == pytest.approx(-f1.y, rel=1e-12, abs=1e-15)
+    f0, f1 = forces(st, only("attraction"))
+    assert f0[0] == pytest.approx(-f1[0], rel=1e-12, abs=1e-15)
+    assert f0[1] == pytest.approx(-f1[1], rel=1e-12, abs=1e-15)
 
 
 def test_alignment_matches_velocities():
     st = pair((0.0, 0.0), (0.1, 0.0), v1=(1, 0), v2=(0, 0))
-    f = alignment_force(0, st, CALM)
-    assert f.x == pytest.approx(-2.0, rel=1e-12)
-    assert f.y == 0.0
+    fx, fy = forces(st, only("alignment"))[0]
+    assert fx == pytest.approx(-2.0, rel=1e-12)
+    assert fy == 0.0
     # equal velocities feel nothing
     st = pair((0.0, 0.0), (0.13, 0.07), v1=(0.3, -0.2), v2=(0.3, -0.2))
-    f = alignment_force(0, st, CALM)
-    assert f.x == 0.0 and f.y == 0.0
+    fx, fy = forces(st, only("alignment"))[0]
+    assert fx == 0.0 and fy == 0.0
 
 
 def test_obstacle_force_toward_bottom_wall():
     st = pair((1, 0.2), (5, 2), v1=(0, -0.5))
-    f = obstacle_force(0, st, TANK, CALM)
-    assert f.x == pytest.approx(0.0, abs=1e-15)
-    assert f.y == pytest.approx(2.0, rel=1e-12)
+    fx, fy = forces(st, only("avoidance"))[0]
+    assert fx == pytest.approx(0.0, abs=1e-15)
+    assert fy == pytest.approx(2.0, rel=1e-12)
 
 
 def test_obstacle_force_zero_for_still_fish():
     st = pair((1, 0.2), (5, 2))  # both motionless
-    f = obstacle_force(0, st, TANK, CALM)
-    assert f.x == 0.0 and f.y == 0.0
+    fx, fy = forces(st, only("avoidance"))[0]
+    assert fx == 0.0 and fy == 0.0
 
 
 def test_obstacle_force_fades_with_distance():
-    near = obstacle_force(0, pair((1, 0.3), (5, 2), v1=(0, -0.5)), TANK, CALM)
-    far = obstacle_force(0, pair((1, 3.0), (5, 2), v1=(0, -0.5)), TANK, CALM)
-    assert near.y > far.y > 0
+    avoid = only("avoidance")
+    near = forces(pair((1, 0.3), (5, 2), v1=(0, -0.5)), avoid)[0]
+    far = forces(pair((1, 3.0), (5, 2), v1=(0, -0.5)), avoid)[0]
+    assert near[1] > far[1] > 0
 
 
 def test_food_force_scales_with_sensitivity(field_config2):
     st = pair((1.0, 1.0), (3.0, 0.5))
-    f1 = food_force(0, st, field_config2, ModelParams(sensitivity=1.0))
-    f2 = food_force(0, st, field_config2, ModelParams(sensitivity=2.0))
-    assert f2.x == pytest.approx(2 * f1.x, rel=1e-15, abs=1e-300)
-    assert f2.y == pytest.approx(2 * f1.y, rel=1e-15, abs=1e-300)
-    f0 = food_force(0, st, field_config2, ModelParams(sensitivity=0.0))
-    assert f0.x == 0.0 and f0.y == 0.0
+
+    def food(sensitivity):
+        params = only("sensitivity", ModelParams(sensitivity=sensitivity))
+        return forces(st, params, BAFFLE_ARENA, field_config2)[0]
+
+    f1, f2 = food(1.0), food(2.0)
+    assert f2[0] == pytest.approx(2 * f1[0], rel=1e-15, abs=1e-300)
+    assert f2[1] == pytest.approx(2 * f1[1], rel=1e-15, abs=1e-300)
+    f0 = food(0.0)
+    assert f0[0] == 0.0 and f0[1] == 0.0
 
 
 def test_cap_speed():
-    v = cap_speed(Vec2(0.1, 0.2), 0.8)
-    assert (v.x, v.y) == (0.1, 0.2)
-    v = cap_speed(Vec2(3, 4), 0.8)
-    assert v.x == pytest.approx(0.48, rel=1e-12)
-    assert v.y == pytest.approx(0.64, rel=1e-12)
-    v = cap_speed(Vec2(0, 0), 0.8)
-    assert (v.x, v.y) == (0.0, 0.0)
+    # no forces, no noise: step only caps the incoming velocities
+    params = ModelParams(attraction=0, alignment=0, avoidance=0,
+                         sensitivity=0, noise=0, vmax=0.8)
+    st = SwarmState(0.0, np.array([[-100.0, 0.0], [0.0, 0.0], [100.0, 0.0]]),
+                    np.array([[3.0, 4.0], [0.1, 0.2], [0.0, 0.0]]))
+    v = step(st, BIG, None, params, dw=np.zeros((3, 2))).velocities
+    assert v[0, 0] == pytest.approx(0.48, rel=1e-12)
+    assert v[0, 1] == pytest.approx(0.64, rel=1e-12)
+    assert tuple(v[1]) == (0.1, 0.2)
+    assert tuple(v[2]) == (0.0, 0.0)
 
 
 def test_total_forces_is_sum_of_terms(field_config2):
@@ -144,14 +163,12 @@ def test_total_forces_is_sum_of_terms(field_config2):
     vel = rng.uniform(-0.4, 0.4, size=(n, 2))
     st = SwarmState(0.0, pos, vel)
     params = ModelParams(sensitivity=2.0)
-    total = total_forces(pos, vel, BAFFLE_ARENA, field_config2, params)
+    total = forces(st, params, BAFFLE_ARENA, field_config2)
+    parts = sum(forces(st, only(t, params), BAFFLE_ARENA, field_config2)
+                for t in TERMS)
     for i in range(n):
-        parts = (interaction_force(i, st, params),
-                 alignment_force(i, st, params),
-                 obstacle_force(i, st, BAFFLE_ARENA, params),
-                 food_force(i, st, field_config2, params))
-        assert total[i, 0] == pytest.approx(sum(p.x for p in parts), rel=1e-10, abs=1e-12)
-        assert total[i, 1] == pytest.approx(sum(p.y for p in parts), rel=1e-10, abs=1e-12)
+        assert total[i, 0] == pytest.approx(parts[i, 0], rel=1e-10, abs=1e-12)
+        assert total[i, 1] == pytest.approx(parts[i, 1], rel=1e-10, abs=1e-12)
 
 
 def test_blowup_raises():
@@ -258,7 +275,7 @@ def test_speed_bound_and_containment_under_stress():
     for s in samples[1:]:
         speeds = np.hypot(s.velocities[:, 0], s.velocities[:, 1])
         assert speeds.max() <= params.vmax * (1 + 1e-12)
-        assert all(contains(BAFFLE_ARENA, Vec2(x, y)) for x, y in s.positions)
+        assert contains_many(BAFFLE_ARENA, s.positions).all()
 
 
 def test_advance_equals_manual_steps():

@@ -251,3 +251,16 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert got.time == want.time
         np.testing.assert_array_equal(got.positions, want.positions)
         np.testing.assert_array_equal(got.velocities, want.velocities)
+
+
+# ----------------------------------------------------------------- public API
+
+def test_every_exported_name_resolves():
+    import schoolsim
+
+    missing = [name for name in schoolsim.__all__ if not hasattr(schoolsim, name)]
+    assert not missing
+    # the array kernels the model runs are the geometry and scent API
+    kernels = {"contains_many", "ray_hits_many", "clamp_many",
+               "sample_value_many", "sample_gradient_many"}
+    assert kernels <= set(schoolsim.__all__)

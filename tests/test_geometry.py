@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from schoolsim.geometry import (Arena, AxisRect, Vec2, clamp_inside, clamp_many,
-                                contains, contains_many, mirror, ray_first_hit,
-                                ray_hits_many, reflect)
+from schoolsim.geometry import (Arena, AxisRect, Vec2, clamp_many, contains_many,
+                                ray_hits_many)
 
 
 def rect(x0, y0, x1, y1):
@@ -21,32 +20,63 @@ UNIT_SQUARE = Arena(rect(0, 0, 1, 1))
 ALL_ARENAS = [TANK, BAFFLE_ARENA, TWO_OBSTACLE_ARENA, UNIT_SQUARE]
 
 
+def inside(arena, x, y):
+    return bool(contains_many(arena, np.array([[x, y]], float))[0])
+
+
+def cast(arena, origin, direction):
+    """One ray through ray_hits_many: (has_hit, point, normal, distance)."""
+    has_hit, pts, nrm, dist = ray_hits_many(arena, np.array([origin], float),
+                                            np.array([direction], float))
+    return has_hit[0], pts[0], nrm[0], dist[0]
+
+
+def specular(v, n):
+    """Image of v across the plane with unit normal n: v - 2(v.n)n."""
+    d = 2.0 * (v[0] * n[0] + v[1] * n[1])
+    return np.array([v[0] - d * n[0], v[1] - d * n[1]])
+
+
+def clamp_one(arena, x, y, eps=1e-4):
+    out, moved = clamp_many(arena, np.array([[x, y]], float), eps)
+    return tuple(out[0]), tuple(moved[0])
+
+
 # ---------------------------------------------------------------- containment
 
 def test_contains_interior_point():
-    assert contains(BAFFLE_ARENA, Vec2(1, 1))
+    assert inside(BAFFLE_ARENA, 1, 1)
 
 
 def test_contains_rejects_point_inside_obstacle():
-    assert not contains(BAFFLE_ARENA, Vec2(2.25, 3.0))
+    assert not inside(BAFFLE_ARENA, 2.25, 3.0)
 
 
 def test_contains_rejects_point_outside_bounds():
-    assert not contains(TANK, Vec2(8, 1))
+    assert not inside(TANK, 8, 1)
 
 
 def test_boundary_points_count_as_inside():
     # outer wall and obstacle faces are part of the fluid closure
-    assert contains(TANK, Vec2(0, 0))
-    assert contains(TANK, Vec2(7, 4))
-    assert contains(BAFFLE_ARENA, Vec2(2, 3))  # on the baffle's left face
+    assert inside(TANK, 0, 0)
+    assert inside(TANK, 7, 4)
+    assert inside(BAFFLE_ARENA, 2, 3)  # on the baffle's left face
+
+
+def in_fluid(arena, x, y):
+    """Point-by-point oracle: closed bounds minus open obstacle interiors."""
+    b = arena.bounds
+    if not (b.lo.x <= x <= b.hi.x and b.lo.y <= y <= b.hi.y):
+        return False
+    return not any(ob.lo.x < x < ob.hi.x and ob.lo.y < y < ob.hi.y
+                   for ob in arena.obstacles)
 
 
 def test_contains_many_matches_scalar():
     rng = np.random.default_rng(5)
     pts = rng.uniform([-0.5, -0.5], [4.5, 4.5], size=(300, 2))
     got = contains_many(BAFFLE_ARENA, pts)
-    want = np.array([contains(BAFFLE_ARENA, Vec2(x, y)) for x, y in pts])
+    want = np.array([in_fluid(BAFFLE_ARENA, x, y) for x, y in pts])
     assert np.array_equal(got, want)
 
 
@@ -83,42 +113,43 @@ def test_arena_allows_touching_obstacles():
 # ---------------------------------------------------------------- ray casting
 
 def test_ray_straight_down_to_bottom_wall():
-    hit = ray_first_hit(TANK, Vec2(1, 1), Vec2(0, -1))
-    assert hit.point == Vec2(1, 0)
-    assert hit.normal == Vec2(0, 1)
-    assert hit.distance == pytest.approx(1.0, abs=1e-12)
+    hit, point, normal, dist = cast(TANK, (1, 1), (0, -1))
+    assert hit
+    assert tuple(point) == (1.0, 0.0)
+    assert tuple(normal) == (0.0, 1.0)
+    assert dist == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ray_strikes_obstacle_face():
-    hit = ray_first_hit(BAFFLE_ARENA, Vec2(1, 3), Vec2(1, 0))
-    assert hit.point == Vec2(2, 3)
-    assert hit.normal == Vec2(-1, 0)
-    assert hit.distance == pytest.approx(1.0, abs=1e-12)
+    hit, point, normal, dist = cast(BAFFLE_ARENA, (1, 3), (1, 0))
+    assert hit
+    assert tuple(point) == (2.0, 3.0)
+    assert tuple(normal) == (-1.0, 0.0)
+    assert dist == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_direction_gives_no_hit():
-    assert ray_first_hit(TANK, Vec2(1, 1), Vec2(0, 0)) is None
-
-
-def test_ray_from_outside_is_a_contract_error():
-    with pytest.raises(ValueError):
-        ray_first_hit(TANK, Vec2(8, 1), Vec2(-1, 0))
+    hit, _, normal, dist = cast(TANK, (1, 1), (0, 0))
+    assert not hit
+    assert tuple(normal) == (0.0, 0.0) and dist == 0.0
 
 
 def test_corner_hit_prefers_face_with_larger_direction_component():
     # exact diagonal: tie broken toward the x face
-    hit = ray_first_hit(UNIT_SQUARE, Vec2(0.5, 0.5), Vec2(1, 1))
-    assert hit.point == Vec2(1, 1)
-    assert hit.normal == Vec2(-1, 0)
+    hit, point, normal, _ = cast(UNIT_SQUARE, (0.5, 0.5), (1, 1))
+    assert hit
+    assert tuple(point) == (1.0, 1.0)
+    assert tuple(normal) == (-1.0, 0.0)
     # steeper ray into the same corner: the y face supplies the normal
-    hit = ray_first_hit(UNIT_SQUARE, Vec2(0.6, 0.2), Vec2(1, 2))
-    assert hit.point == Vec2(1, 1)
-    assert hit.normal == Vec2(0, -1)
+    hit, point, normal, _ = cast(UNIT_SQUARE, (0.6, 0.2), (1, 2))
+    assert hit
+    assert tuple(point) == (1.0, 1.0)
+    assert tuple(normal) == (0.0, -1.0)
 
 
 def test_ray_distance_is_euclidean_for_unnormalized_dir():
-    hit = ray_first_hit(TANK, Vec2(1, 1), Vec2(0, -7))
-    assert hit.distance == pytest.approx(1.0, abs=1e-12)
+    _, _, _, dist = cast(TANK, (1, 1), (0, -7))
+    assert dist == pytest.approx(1.0, abs=1e-12)
 
 
 def brute_first_hit(arena, origin, direction):
@@ -146,8 +177,8 @@ def brute_first_hit(arena, origin, direction):
 
 
 def random_fluid_points(arena, n, rng):
-    lo = arena.bounds.lo.as_array()
-    hi = arena.bounds.hi.as_array()
+    b = arena.bounds
+    lo, hi = [b.lo.x, b.lo.y], [b.hi.x, b.hi.y]
     pts = np.empty((0, 2))
     while len(pts) < n:
         cand = rng.uniform(lo, hi, size=(2 * n, 2))
@@ -183,83 +214,94 @@ def test_reflection_properties(arena):
     speeds = rng.uniform(0.01, 1.0, size=n)
     angles = rng.uniform(0, 2 * np.pi, size=n)
     vels = speeds[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    for i in range(n):
-        x = Vec2(origins[i, 0], origins[i, 1])
-        v = Vec2(vels[i, 0], vels[i, 1])
-        rf, hit = reflect(arena, x, v)
-        assert hit is not None
+    has_hit, _, normals, _ = ray_hits_many(arena, origins, vels)
+    assert has_hit.all()
+    for v, nrm in zip(vels, normals):
+        rf = specular(v, nrm)
         # norm preservation
-        assert rf.norm() == pytest.approx(v.norm(), rel=1e-12)
+        assert np.hypot(*rf) == pytest.approx(np.hypot(*v), rel=1e-12)
         # tangential component unchanged
-        t = Vec2(-hit.normal.y, hit.normal.x)
-        assert rf.dot(t) == pytest.approx(v.dot(t), abs=1e-12)
+        t = np.array([-nrm[1], nrm[0]])
+        assert rf @ t == pytest.approx(v @ t, abs=1e-12)
         # reflecting again at the same normal recovers v
-        back = mirror(rf, hit.normal)
-        assert back.x == pytest.approx(v.x, abs=1e-12)
-        assert back.y == pytest.approx(v.y, abs=1e-12)
+        back = specular(rf, nrm)
+        assert back[0] == pytest.approx(v[0], abs=1e-12)
+        assert back[1] == pytest.approx(v[1], abs=1e-12)
         # unit normal
-        assert hit.normal.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.hypot(*nrm) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_perpendicular_reflection_is_exact_reversal():
-    rf, hit = reflect(TANK, Vec2(1, 1), Vec2(0, -2))
-    assert rf == Vec2(0, 2)
-    assert hit.point == Vec2(1, 0)
+    _, point, normal, _ = cast(TANK, (1, 1), (0, -2))
+    assert tuple(specular((0.0, -2.0), normal)) == (0.0, 2.0)
+    assert tuple(point) == (1.0, 0.0)
 
 
 def test_diagonal_reflection_off_bottom_wall():
-    rf, _ = reflect(TANK, Vec2(1, 1), Vec2(1, -1))
-    assert rf == Vec2(1, 1)
+    _, _, normal, _ = cast(TANK, (1, 1), (1, -1))
+    assert tuple(specular((1.0, -1.0), normal)) == (1.0, 1.0)
 
 
 def test_zero_velocity_reflects_to_itself():
-    rf, hit = reflect(TANK, Vec2(1, 1), Vec2(0, 0))
-    assert rf == Vec2(0, 0)
-    assert hit is None
+    hit, _, normal, _ = cast(TANK, (1, 1), (0, 0))
+    assert tuple(specular((0.0, 0.0), normal)) == (0.0, 0.0)
+    assert not hit
 
 
 def test_perpendicular_reversal_on_constructed_rays():
     # aim straight at each wall of each arena from random interior points
     rng = np.random.default_rng(23)
+    axis_dirs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     for arena in ALL_ARENAS:
-        for p in random_fluid_points(arena, 50, rng):
-            x = Vec2(p[0], p[1])
-            for d in (Vec2(1, 0), Vec2(-1, 0), Vec2(0, 1), Vec2(0, -1)):
-                rf, hit = reflect(arena, x, d)
-                if hit is None:
-                    continue
-                if abs(hit.normal.dot(d)) == 1.0:  # perpendicular impact
-                    assert rf == Vec2(-d.x, -d.y)
+        pts = random_fluid_points(arena, 50, rng)
+        origins = np.repeat(pts, len(axis_dirs), axis=0)
+        dirs = np.tile(axis_dirs, (len(pts), 1))
+        has_hit, _, normals, _ = ray_hits_many(arena, origins, dirs)
+        for hit, d, nrm in zip(has_hit, dirs, normals):
+            if not hit:
+                continue
+            if abs(nrm @ d) == 1.0:  # perpendicular impact
+                assert tuple(specular(d, nrm)) == (-d[0], -d[1])
 
 
 # ------------------------------------------------------------------- clamping
 
 def test_clamp_leaves_interior_point_alone():
-    assert clamp_inside(TANK, Vec2(3, 2), 1e-4) == Vec2(3, 2)
+    assert clamp_one(TANK, 3, 2) == ((3.0, 2.0), (False, False))
 
 
 def test_clamp_projects_below_floor_back_inside():
-    assert clamp_inside(TANK, Vec2(3, -0.05), 1e-4) == Vec2(3, 1e-4)
+    assert clamp_one(TANK, 3, -0.05) == ((3.0, 1e-4), (False, True))
 
 
 def test_clamp_pushes_out_of_obstacle_through_nearest_face():
-    got = clamp_inside(BAFFLE_ARENA, Vec2(2.1, 3.0), 1e-4)
-    assert got == Vec2(2 - 1e-4, 3.0)
+    got, moved = clamp_one(BAFFLE_ARENA, 2.1, 3.0)
+    assert got == (2 - 1e-4, 3.0)
+    assert moved == (True, False)
 
 
 def test_clamp_never_exits_through_wall_flush_face():
     # point inside the baffle near its top edge; the top face coincides with
     # the tank wall, so the exit must use a real fluid-facing face
-    got = clamp_inside(BAFFLE_ARENA, Vec2(2.25, 3.95), 1e-4)
-    assert contains(BAFFLE_ARENA, got)
-    assert got.y <= 4.0
+    got, _ = clamp_one(BAFFLE_ARENA, 2.25, 3.95)
+    assert inside(BAFFLE_ARENA, *got)
+    assert got[1] <= 4.0
+
+
+def test_clamp_eps_band_moves_wall_points_but_not_obstacle_points():
+    # both points are already in the fluid, closer than eps to a boundary:
+    # the outer-wall clip pushes the first to eps, the obstacle test (open
+    # interior) leaves the second where it is
+    assert clamp_one(BAFFLE_ARENA, 3.0, 5e-5) == ((3.0, 1e-4), (False, True))
+    assert clamp_one(BAFFLE_ARENA, 1.99995, 3.0) == ((1.99995, 3.0), (False, False))
 
 
 @pytest.mark.parametrize("arena", ALL_ARENAS)
 def test_clamp_always_lands_inside(arena):
     rng = np.random.default_rng(31)
-    lo = arena.bounds.lo.as_array() - 1.0
-    hi = arena.bounds.hi.as_array() + 1.0
+    b = arena.bounds
+    lo = np.array([b.lo.x, b.lo.y]) - 1.0
+    hi = np.array([b.hi.x, b.hi.y]) + 1.0
     pts = rng.uniform(lo, hi, size=(3000, 2))
     clamped, moved = clamp_many(arena, pts, 1e-4)
     assert contains_many(arena, clamped).all()
@@ -271,7 +313,7 @@ def test_clamp_always_lands_inside(arena):
 
 
 def test_clamp_is_deterministic_on_ties():
-    a = clamp_inside(BAFFLE_ARENA, Vec2(2.25, 3.0), 1e-4)
-    b = clamp_inside(BAFFLE_ARENA, Vec2(2.25, 3.0), 1e-4)
+    a = clamp_one(BAFFLE_ARENA, 2.25, 3.0)
+    b = clamp_one(BAFFLE_ARENA, 2.25, 3.0)
     assert a == b
-    assert contains(BAFFLE_ARENA, a)
+    assert inside(BAFFLE_ARENA, *a[0])

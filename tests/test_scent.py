@@ -5,11 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from schoolsim.dynamics import ForceBlowUpError, SwarmState, step
 from schoolsim.geometry import Arena, AxisRect, Vec2
 from schoolsim.scent import (FoodSpec, GridError, read_field_csv,
-                             sample_gradient, sample_gradient_many,
-                             sample_value, sample_value_many, solve_field,
-                             write_field_csv)
+                             sample_gradient_many, sample_value_many,
+                             solve_field, write_field_csv)
 
 
 def rect(x0, y0, x1, y1):
@@ -18,6 +18,14 @@ def rect(x0, y0, x1, y1):
 
 SMALL_TANK = Arena(rect(0, 0, 1, 1))
 SMALL_FOOD = FoodSpec(center=Vec2(0.2, 0.2), radius=0.15)
+
+
+def value_at(field, x, y):
+    return sample_value_many(field, np.array([[x, y]], float))[0]
+
+
+def gradient_at(field, x, y):
+    return sample_gradient_many(field, np.array([[x, y]], float))[0]
 
 
 # ------------------------------------------------------------------ contracts
@@ -65,10 +73,10 @@ def test_constant_source_gives_constant_field():
                         source=lambda x, y: np.full_like(x, 50.0))
     np.testing.assert_allclose(field.values, 250.0, rtol=1e-6)
     # and the sampled value anywhere reproduces it
-    assert sample_value(field, Vec2(0.313, 0.77)) == pytest.approx(250.0, rel=1e-9)
+    assert value_at(field, 0.313, 0.77) == pytest.approx(250.0, rel=1e-9)
     # gradient of a constant is zero
-    g = sample_gradient(field, Vec2(0.313, 0.77))
-    assert abs(g.x) < 1e-6 and abs(g.y) < 1e-6
+    gx, gy = gradient_at(field, 0.313, 0.77)
+    assert abs(gx) < 1e-6 and abs(gy) < 1e-6
 
 
 def test_conservation_identity_small():
@@ -148,14 +156,13 @@ def test_field_orderings_around_baffle(field_config2):
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     assert field_config2.source[i, j] > 0
     # scent on the far side of the baffle is weaker than in the open half
-    assert (sample_value(field_config2, Vec2(0.5, 3.8))
-            < sample_value(field_config2, Vec2(3.0, 0.5)))
+    assert value_at(field_config2, 0.5, 3.8) < value_at(field_config2, 3.0, 0.5)
 
 
 def test_gradient_above_config1_source(field_config1_left):
-    g = sample_gradient(field_config1_left, Vec2(1.5, 2.0))
-    assert g.y < 0  # scent increases downward, toward the food
-    assert abs(g.x) < 0.1 * abs(g.y)
+    gx, gy = gradient_at(field_config1_left, 1.5, 2.0)
+    assert gy < 0  # scent increases downward, toward the food
+    assert abs(gx) < 0.1 * abs(gy)
 
 
 def test_wall_adjacent_cells_have_zero_normal_gradient(field_config1_left):
@@ -183,7 +190,7 @@ def test_sampling_is_nodal_at_cell_centers(field_config1_left):
     f = field_config1_left
     xs, ys = f.cell_centers()
     for i, j in ((10, 10), (100, 50), (349, 199), (0, 0)):
-        got = sample_value(f, Vec2(xs[i], ys[j]))
+        got = value_at(f, xs[i], ys[j])
         assert got == pytest.approx(f.values[i, j], rel=1e-12)
 
 
@@ -194,39 +201,26 @@ def test_sampling_midpoint_is_linear():
     f[4, 5], f[5, 5] = 1.0, 3.0
     patched = type(field)(**{**field.__dict__, "values": f})
     xs, ys = patched.cell_centers()
-    mid = Vec2((xs[4] + xs[5]) / 2, ys[5])
-    assert sample_value(patched, mid) == pytest.approx(2.0, rel=1e-12)
+    assert value_at(patched, (xs[4] + xs[5]) / 2, ys[5]) == pytest.approx(2.0, rel=1e-12)
 
 
-def test_sampling_outside_fluid_is_contract_error(field_config2):
-    with pytest.raises(ValueError):
-        sample_value(field_config2, Vec2(2.25, 3.0))  # inside the baffle
-    with pytest.raises(ValueError):
-        sample_gradient(field_config2, Vec2(-1.0, 0.5))
-
-
-def test_vectorized_sampling_matches_scalar(field_config2):
-    rng = np.random.default_rng(3)
-    pts = []
-    while len(pts) < 200:
-        x, y = rng.uniform(0, 4, size=2)
-        if not (2 <= x <= 2.5 and y >= 2.5):
-            pts.append((x, y))
-    pts = np.array(pts)
-    vals = sample_value_many(field_config2, pts)
-    grads = sample_gradient_many(field_config2, pts)
-    for k in range(0, 200, 17):
-        p = Vec2(pts[k, 0], pts[k, 1])
-        assert vals[k] == pytest.approx(sample_value(field_config2, p), rel=1e-12)
-        g = sample_gradient(field_config2, p)
-        assert grads[k, 0] == pytest.approx(g.x, rel=1e-12, abs=1e-15)
-        assert grads[k, 1] == pytest.approx(g.y, rel=1e-12, abs=1e-15)
+def test_sampling_outside_fluid_gives_nan_and_step_raises(config2, field_config2):
+    # inside the baffle and left of the tank: no fluid cell in the stencil
+    pts = np.array([[2.25, 3.0], [-1.0, 0.5]])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(sample_value_many(field_config2, pts)).all()
+        assert np.isnan(sample_gradient_many(field_config2, pts)).all()
+        # the NaN pull reaches the force check, so no NaN state comes back
+        st = SwarmState(0.0, np.array([[2.25, 3.0], [1.0, 1.0]]), np.zeros((2, 2)))
+        with pytest.raises(ForceBlowUpError):
+            step(st, config2.arena, field_config2, config2.params,
+                 rng=np.random.default_rng(0))
 
 
 def test_sampling_next_to_obstacle_uses_fluid_cells_only(field_config2):
     # a point whose 2x2 stencil straddles the baffle still interpolates,
     # renormalizing over the fluid cells
-    v = sample_value(field_config2, Vec2(1.995, 3.005))
+    v = value_at(field_config2, 1.995, 3.005)
     assert np.isfinite(v) and v >= 0
     # with the solid column excluded it reduces to interpolation along y
     # in the hugging fluid column
