@@ -11,10 +11,11 @@ the arena.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Arena, clamp_many, ray_hits_many
+from .geometry import Arena, _first_hits, clamp_many
 from .scent import ScentField, sample_gradient_many
 
 # Pairwise and wall distances are floored here before entering the
@@ -22,6 +23,9 @@ from .scent import ScentField, sample_gradient_many
 EPS_DIST = 1e-6
 # Clamped positions are placed this far inside the boundary.
 EPS_INSIDE = 1e-4
+# advance() draws the noise of this many steps at once; a (k, N, 2) draw
+# gives exactly the values of k successive (N, 2) draws.
+NOISE_BLOCK = 256
 
 
 class ForceBlowUpError(RuntimeError):
@@ -93,11 +97,19 @@ class SwarmState:
         return self.positions.shape[0]
 
 
+@lru_cache(maxsize=16)
+def _inf_diagonal(n: int) -> np.ndarray:
+    """(n, n) read-only matrix: inf on the diagonal, 0.0 elsewhere."""
+    out = np.diag(np.full(n, np.inf))
+    out.setflags(write=False)
+    return out
+
+
 def _pair_kernels(positions: np.ndarray, params: ModelParams):
     """Pairwise difference vectors and the two radial kernel matrices."""
     diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
+    # Adding 0.0 leaves a distance unchanged; the diagonal becomes inf.
+    dist = np.sqrt((diff * diff).sum(axis=2)) + _inf_diagonal(positions.shape[0])
     ratio = params.r / np.maximum(dist, EPS_DIST)
     rp = ratio**params.p
     rq = ratio**params.q
@@ -111,15 +123,14 @@ def obstacle_forces(positions: np.ndarray, velocities: np.ndarray,
     Casts a ray along each velocity; the force opposes the velocity
     component toward the struck face (the difference between the velocity
     and its specular reflection), weighted by proximity.  Fish whose ray
-    meets nothing (zero velocity) feel no force.
+    meets nothing (zero velocity) feel no force: their normal is zero and
+    their distance infinite.
     """
-    has_hit, _pts, normals, dist = ray_hits_many(arena, positions, velocities)
+    _, _, normals, dist, _ = _first_hits(arena, positions, velocities)
     vn = (velocities * normals).sum(axis=1)
     ratio = params.R / np.maximum(dist, EPS_DIST)
     coef = ratio**params.P + ratio**params.Q
-    force = (-params.avoidance * coef * 2.0 * vn)[:, None] * normals
-    force[~has_hit] = 0.0
-    return force
+    return (-params.avoidance * coef * 2.0 * vn)[:, None] * normals
 
 
 def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
@@ -147,6 +158,24 @@ def _cap_many(vel: np.ndarray, vmax: float) -> np.ndarray:
     return vel * factor[:, None]
 
 
+def _advance_arrays(t: float, pos: np.ndarray, vel: np.ndarray, dw: np.ndarray,
+                    arena: Arena, field: ScentField | None, params: ModelParams):
+    """One step on bare arrays: (pos, vel) at time t -> (pos, vel) at t + dt."""
+    force = total_forces(pos, vel, arena, field, params)
+    if not np.isfinite(force).all():
+        bad = np.where(~np.isfinite(force).all(axis=1))[0]
+        raise ForceBlowUpError(
+            f"non-finite force on fish {bad.tolist()} at t={t:.6g}; "
+            f"params={params}"
+        )
+    v_new = _cap_many(vel + params.dt * force, params.vmax)
+    x_new, moved = clamp_many(arena, pos + params.dt * vel + params.noise * dw,
+                              EPS_INSIDE)
+    if moved.any():
+        v_new = np.where(moved, 0.0, v_new)
+    return x_new, v_new
+
+
 def step(state: SwarmState, arena: Arena, field: ScentField | None,
          params: ModelParams, rng: np.random.Generator | None = None,
          dw: np.ndarray | None = None) -> SwarmState:
@@ -159,24 +188,13 @@ def step(state: SwarmState, arena: Arena, field: ScentField | None,
     normal the clamp pushed against.  ``dw`` (per-component N(0, dt)
     Brownian increments) is drawn from rng when not supplied.
     """
-    pos, vel = state.positions, state.velocities
-    force = total_forces(pos, vel, arena, field, params)
-    if not np.isfinite(force).all():
-        bad = np.where(~np.isfinite(force).all(axis=1))[0]
-        raise ForceBlowUpError(
-            f"non-finite force on fish {bad.tolist()} at t={state.time:.6g}; "
-            f"params={params}"
-        )
-    v_new = _cap_many(vel + params.dt * force, params.vmax)
     if dw is None:
         if rng is None:
             raise ValueError("step needs an rng when no explicit dw is supplied")
-        dw = rng.normal(0.0, math.sqrt(params.dt), size=pos.shape)
-    x_new, moved = clamp_many(arena, pos + params.dt * vel + params.noise * dw,
-                              EPS_INSIDE)
-    if moved.any():
-        v_new = np.where(moved, 0.0, v_new)
-    return SwarmState(state.time + params.dt, x_new, v_new)
+        dw = rng.normal(0.0, math.sqrt(params.dt), size=state.positions.shape)
+    pos, vel = _advance_arrays(state.time, state.positions, state.velocities, dw,
+                               arena, field, params)
+    return SwarmState(state.time + params.dt, pos, vel)
 
 
 def advance(state: SwarmState, arena: Arena, field: ScentField | None,
@@ -186,11 +204,20 @@ def advance(state: SwarmState, arena: Arena, field: ScentField | None,
 
     Returns ``(final_state, samples)`` where samples is a list of the
     recorded states (always including the initial and final ones) when
-    sample_stride > 0, else an empty list.
+    sample_stride > 0, else an empty list.  The trajectory and the draws
+    taken from rng are those of n_steps calls to step().
     """
     samples = [state] if sample_stride > 0 else []
-    for k in range(1, n_steps + 1):
-        state = step(state, arena, field, params, rng)
-        if sample_stride > 0 and (k % sample_stride == 0 or k == n_steps):
-            samples.append(state)
+    t, pos, vel = state.time, state.positions, state.velocities
+    for k in range(n_steps):
+        if k % NOISE_BLOCK == 0:
+            noise = rng.normal(0.0, math.sqrt(params.dt),
+                               size=(min(NOISE_BLOCK, n_steps - k),) + pos.shape)
+        pos, vel = _advance_arrays(t, pos, vel, noise[k % NOISE_BLOCK],
+                                   arena, field, params)
+        t += params.dt
+        if sample_stride > 0 and ((k + 1) % sample_stride == 0 or k + 1 == n_steps):
+            samples.append(SwarmState(t, pos, vel))
+    if n_steps > 0:
+        state = SwarmState(t, pos, vel)
     return state, samples

@@ -337,13 +337,11 @@ def write_trajectory_csv(samples, path):
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(TRAJECTORY_CSV_HEADER)
+        # csv writes a float as its repr(), the text each field has always had.
         for state in samples:
-            for i in range(state.n_fish):
-                out.writerow([repr(float(state.time)), i,
-                              repr(float(state.positions[i, 0])),
-                              repr(float(state.positions[i, 1])),
-                              repr(float(state.velocities[i, 0])),
-                              repr(float(state.velocities[i, 1]))])
+            t = float(state.time)
+            out.writerows([t, i, *p, *v] for i, (p, v) in enumerate(
+                zip(state.positions.tolist(), state.velocities.tolist())))
 
 
 def read_trajectory_csv(path):

@@ -163,6 +163,33 @@ class Arena:
             np.array(signs, dtype=float),
         )
 
+    @cached_property
+    def _ray_table(self):
+        """Per-face tables for ray_hits_many, derived from _faces.
+
+        The (2, F) column index [axis, other axis]; the face coordinates
+        and spans widened by RAY_TOL; a (2, F) tie-break rank for rays that
+        prefer x faces (row 0) or y faces (row 1); and an (F + 1, 2) normals
+        table whose last row, the "no hit" face, is zero.
+        """
+        axes, coords, s_lo, s_hi, signs = self._faces
+        n = axes.shape[0]
+        rank = np.array([(axes != pref) * n + np.arange(n) for pref in (0, 1)])
+        normals = np.zeros((n + 1, 2))
+        normals[np.arange(n), axes] = signs
+        return (np.array([axes, 1 - axes]), coords, s_lo - RAY_TOL, s_hi + RAY_TOL,
+                rank, normals)
+
+    @cached_property
+    def _clamp_table(self):
+        """Bounds as arrays for clamp_many: (lo, hi) of the tank, shape (2,),
+        and of the obstacles, shape (K, 2)."""
+        b = self.bounds
+        obs = self.obstacles
+        return (np.array([b.lo.x, b.lo.y]), np.array([b.hi.x, b.hi.y]),
+                np.array([[o.lo.x, o.lo.y] for o in obs]).reshape(-1, 2),
+                np.array([[o.hi.x, o.hi.y] for o in obs]).reshape(-1, 2))
+
 
 def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
     """True where a point of the (N, 2) array lies in the fluid.
@@ -178,6 +205,43 @@ def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _first_hits(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
+    """Ray-cast core shared by ray_hits_many and the avoidance force.
+
+    Returns ``(has_hit, face, normals, distances, s)``: the index of the
+    face each ray strikes first (F where none is struck), its normal (zero
+    where none), the distance to it (inf where none), and the (N, F) ray
+    parameter of every valid face crossing (inf elsewhere).
+    """
+    cols, coords, lo, hi, rank, normals = arena._ray_table
+    n_rays, n_faces = origins.shape[0], coords.shape[0]
+    if n_faces == 0:  # obstacles fill the tank: there is nothing to strike
+        return (np.zeros(n_rays, dtype=bool), np.zeros(n_rays, dtype=np.intp),
+                np.zeros((n_rays, 2)), np.full(n_rays, np.inf), np.zeros((n_rays, 0)))
+    o = origins[:, cols]                          # (N, 2, F): face axis, other axis
+    d = dirs[:, cols]
+    gap = coords - o[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = gap / d[:, 0]                         # ray parameter per face
+        hit_other = o[:, 1] + s * d[:, 1]
+    # A non-finite s puts hit_other off every (finite) span.
+    s = np.where((s > RAY_TOL) & (hit_other >= lo) & (hit_other <= hi), s, np.inf)
+    s_min = s.min(axis=1)
+    has_hit = s_min < np.inf
+
+    # Tie-break within RAY_TOL of the minimum: prefer the face whose axis has
+    # the larger |dir| component (x on exact ties), then lowest face index.
+    mag = np.abs(dirs)
+    pref = (mag[:, 0] < mag[:, 1]).astype(np.intp)
+    best = np.where(s <= (s_min + RAY_TOL)[:, None], rank[pref],
+                    2 * n_faces + 1).argmin(axis=1)
+    rows = np.arange(n_rays)
+    # The hit lies on the face plane, coords - o away along the face axis.
+    dist = np.hypot(gap[rows, best], hit_other[rows, best] - o[rows, 1, best])
+    face = np.where(has_hit, best, n_faces)
+    return has_hit, face, normals[face], np.where(has_hit, dist, np.inf), s
+
+
 def ray_hits_many(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
     """First boundary hit for each of N rays.
 
@@ -188,55 +252,15 @@ def ray_hits_many(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
     carries the larger |direction| component, x-axis faces winning exact
     ties.
     """
-    axes, coords, s_lo, s_hi, signs = arena._faces
-    n_rays = origins.shape[0]
-    n_faces = axes.shape[0]
-    if n_faces == 0:
-        z = np.zeros(n_rays, dtype=bool)
-        return z, np.zeros((n_rays, 2)), np.zeros((n_rays, 2)), np.zeros(n_rays)
-
-    o_axis = origins[:, axes]                     # (N, F) origin coord on face axis
-    d_axis = dirs[:, axes]                        # (N, F) direction along face axis
-    other = 1 - axes
-    o_other = origins[:, other]
-    d_other = dirs[:, other]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (coords[None, :] - o_axis) / d_axis   # ray parameter per face
-        hit_other = o_other + s * d_other
-
-    valid = (
-        np.isfinite(s)
-        & (s > RAY_TOL)
-        & (hit_other >= s_lo[None, :] - RAY_TOL)
-        & (hit_other <= s_hi[None, :] + RAY_TOL)
-    )
-    s_masked = np.where(valid, s, np.inf)
-    s_min = s_masked.min(axis=1)
-    has_hit = np.isfinite(s_min)
-
-    # Tie-break within RAY_TOL of the minimum: prefer the face whose axis has
-    # the larger |dir| component (x on exact ties), then lowest face index.
-    candidate = valid & (s_masked <= s_min[:, None] + RAY_TOL)
-    pref_axis = (np.abs(dirs[:, 0]) < np.abs(dirs[:, 1])).astype(np.int64)  # 0 -> x wins
-    penalty = (axes[None, :] != pref_axis[:, None]).astype(np.int64)
-    order = np.where(candidate, penalty * n_faces + np.arange(n_faces)[None, :],
-                     2 * n_faces + 1)
-    best = order.argmin(axis=1)
-
-    s_best = s_masked[np.arange(n_rays), best]
-    s_best = np.where(has_hit, s_best, 0.0)
+    axes, coords, *_ = arena._faces
+    has_hit, face, normals, dist, s = _first_hits(arena, origins, dirs)
+    hit = np.flatnonzero(has_hit)
+    s_best = np.zeros(origins.shape[0])
+    s_best[hit] = s[hit, face[hit]]
     points = origins + s_best[:, None] * dirs
-    normals = np.zeros((n_rays, 2))
-    ax_best = axes[best]
-    normals[np.arange(n_rays), ax_best] = signs[best]
-    normals[~has_hit] = 0.0
     # Snap the constant coordinate of the hit onto the face plane.
-    points[np.arange(n_rays), ax_best] = np.where(has_hit, coords[best],
-                                                  points[np.arange(n_rays), ax_best])
-    distances = np.where(has_hit, np.hypot(points[:, 0] - origins[:, 0],
-                                           points[:, 1] - origins[:, 1]), 0.0)
-    return has_hit, points, normals, distances
+    points[hit, axes[face[hit]]] = coords[face[hit]]
+    return has_hit, points, normals, np.where(has_hit, dist, 0.0)
 
 
 def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
@@ -249,12 +273,15 @@ def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
     alone.
     """
     b = arena.bounds
-    out = pts.copy()
-    lo = np.array([b.lo.x + eps, b.lo.y + eps])
-    hi = np.array([b.hi.x - eps, b.hi.y - eps])
-    clipped = np.clip(out, lo, hi)
-    moved = clipped != out
-    out = clipped
+    b_lo, b_hi, ob_lo, ob_hi = arena._clamp_table
+    out = np.minimum(np.maximum(pts, b_lo + eps), b_hi - eps)
+    moved = out != pts
+    # One test against every obstacle at once; the sequential pass below runs
+    # only when a point is trapped, as its order settles points near
+    # adjacent obstacles.
+    per_obstacle = out[:, None, :]
+    if not ((per_obstacle > ob_lo) & (per_obstacle < ob_hi)).all(axis=2).any():
+        return out, moved
 
     for ob in arena.obstacles:
         inside = (

@@ -14,6 +14,7 @@ sampled at cell centers.
 import csv
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -65,7 +66,9 @@ class ScentField:
 
     Arrays are indexed ``[i, j]`` with i along x and j along y.  ``fluid``
     marks cells outside obstacles; values and gradients are zero on solid
-    cells.  Treated as immutable once constructed.
+    cells.  ``arena`` is the geometry the field was solved on, from which
+    plots draw the obstacle outlines; a field read back from CSV has none.
+    Treated as immutable once constructed.
     """
 
     arena: Arena | None
@@ -86,6 +89,29 @@ class ScentField:
         xs = ox + (np.arange(self.nx) + 0.5) * self.spacing
         ys = oy + (np.arange(self.ny) + 0.5) * self.spacing
         return xs, ys
+
+    @cached_property
+    def _stencil(self):
+        """Sampling tables, built on first use.
+
+        ``values`` and ``grad`` padded by two solid cells on every side
+        and flattened; the fluid flags of the 2x2 stencil whose low corner
+        is each padded cell; the flat offsets of its four corners; and the
+        origin, the clip range of the low corner and its flat strides.
+        Clipping the low corner into [-2, n] maps every stencil that
+        leaves the grid onto solid padding, as the unpadded grid would.
+        """
+        pad = ((2, 2), (2, 2))
+        fluid = np.pad(self.fluid, pad).ravel()
+        strides = np.array([self.ny + 4, 1])
+        corners = np.array([0, strides[0], 1, strides[0] + 1])
+        mask = np.zeros((fluid.size, 4), dtype=bool)
+        for c, off in enumerate(corners):
+            mask[:fluid.size - off, c] = fluid[off:]
+        return (np.pad(self.values, pad).ravel(),
+                np.pad(self.grad, pad + ((0, 0),)).reshape(-1, 2),
+                mask, corners, np.array(self.origin, dtype=float),
+                np.array([self.nx, self.ny]), strides, 2 * strides.sum())
 
 
 def _check_food_in_fluid(arena: Arena, food: FoodSpec):
@@ -255,33 +281,22 @@ def _solve_linear(fluid, f, food, h):
 
 
 def _bilinear(field: ScentField, pts: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of per-cell data at (M, 2) points.
+    """Bilinear interpolation of padded per-cell data at (M, 2) points.
 
     Uses the enclosing 2x2 cell-center stencil; the weight of solid or
     out-of-grid cells is redistributed proportionally over the remaining
     fluid cells of the stencil.
     """
-    ox, oy = field.origin
-    h = field.spacing
-    u = (pts[:, 0] - ox) / h - 0.5
-    v = (pts[:, 1] - oy) / h - 0.5
-    i0 = np.floor(u).astype(np.int64)
-    j0 = np.floor(v).astype(np.int64)
-    fx = (u - i0)[:, None]
-    fy = (v - j0)[:, None]
-
-    ii = np.stack([i0, i0 + 1, i0, i0 + 1], axis=1)
-    jj = np.stack([j0, j0, j0 + 1, j0 + 1], axis=1)
-    wgt = np.concatenate(
-        [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1
-    )
-    inside = (ii >= 0) & (ii < field.nx) & (jj >= 0) & (jj < field.ny)
-    iic = np.clip(ii, 0, field.nx - 1)
-    jjc = np.clip(jj, 0, field.ny - 1)
-    usable = inside & field.fluid[iic, jjc]
-    wgt = np.where(usable, wgt, 0.0)
+    _, _, mask, corners, origin, n, strides, base = field._stencil
+    uv = (pts - origin) / field.spacing - 0.5
+    low = np.floor(uv)
+    f = uv - low
+    cell = np.minimum(np.maximum(low.astype(np.int64), -2), n) @ strides + base
+    # [1 - fx, 1 - fy, fx, fy] -> weights (1-fx)(1-fy), fx(1-fy), (1-fx)fy, fx fy
+    w = np.concatenate((1 - f, f), axis=1).reshape(-1, 2, 2)
+    wgt = np.where(mask[cell], (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
     wsum = wgt.sum(axis=1)
-    vals = data[iic, jjc]
+    vals = data[cell[:, None] + corners]
     if vals.ndim == 2:
         return (wgt * vals).sum(axis=1) / wsum
     return (wgt[:, :, None] * vals).sum(axis=1) / wsum[:, None]
@@ -293,7 +308,7 @@ def sample_value_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
     A point whose 2x2 stencil holds no fluid cell, such as one deep inside
     an obstacle, gives NaN.
     """
-    return _bilinear(field, pts, field.values)
+    return _bilinear(field, pts, field._stencil[0])
 
 
 def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
@@ -302,7 +317,7 @@ def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
     A point whose 2x2 stencil holds no fluid cell, such as one deep inside
     an obstacle, gives NaN; step() then raises ForceBlowUpError.
     """
-    return _bilinear(field, pts, field.grad)
+    return _bilinear(field, pts, field._stencil[1])
 
 
 def write_field_csv(field: ScentField, path):

@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from schoolsim.dynamics import (ForceBlowUpError, ModelParams, SwarmState,
-                                advance, step, total_forces)
+from schoolsim.dynamics import (NOISE_BLOCK, ForceBlowUpError, ModelParams,
+                                SwarmState, advance, step, total_forces)
 from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
 
 
@@ -290,3 +290,28 @@ def test_advance_equals_manual_steps():
     np.testing.assert_array_equal(final.velocities, manual.velocities)
     # strided sampling keeps first, every 2nd, and last states
     assert [round(s.time, 6) for s in samples] == [0.0, 0.02, 0.04, 0.05]
+
+
+def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
+    # noise comes in blocks of NOISE_BLOCK steps; the last block here is
+    # partial, and the trajectory, the samples and the generator's state
+    # afterwards must all be those of repeated step() calls
+    n_steps = 2 * NOISE_BLOCK + 37
+    arena, params = config2.arena, config2.params
+    rng0 = np.random.default_rng(11)
+    start = SwarmState(0.0, rng0.uniform([1.0, 3.5], [2.0, 4.0], size=(6, 2)),
+                       np.zeros((6, 2)))
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    final, samples = advance(start, arena, field_config2, params, rng_a, n_steps,
+                             sample_stride=50)
+    manual, want = start, [start]
+    for k in range(1, n_steps + 1):
+        manual = step(manual, arena, field_config2, params, rng=rng_b)
+        if k % 50 == 0 or k == n_steps:
+            want.append(manual)
+    assert len(samples) == len(want) == n_steps // 50 + 2
+    for got, exp in zip(samples + [final], want + [manual]):
+        assert got.time == exp.time
+        np.testing.assert_array_equal(got.positions, exp.positions)
+        np.testing.assert_array_equal(got.velocities, exp.velocities)
+    assert rng_a.random() == rng_b.random()

@@ -1,6 +1,7 @@
 """Trial execution, seeded sweeps, builtin presets, CSV round trips."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -251,6 +252,20 @@ def test_trajectory_csv_round_trip(tmp_path):
         assert got.time == want.time
         np.testing.assert_array_equal(got.positions, want.positions)
         np.testing.assert_array_equal(got.velocities, want.velocities)
+
+
+# SHA-256 of the trajectory.csv of config3, N=10, seed 1234, 2000 steps,
+# every 10th state, as recorded before the step kernels were table-driven.
+GOLDEN_TRAJECTORY_SHA256 = "a4cf5c9d0aec9c7f0192c63a1914274ecd75dbf4958a45241ab92682aa67d913"
+
+
+def test_golden_trajectory_is_bit_identical(tmp_path, config3, field_config3):
+    cfg = dataclasses.replace(config3, n_fish=10, seed=1234, horizon=20.0)
+    out = run_trial(cfg, field_config3, traj_stride=10)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(out.trajectory, path)
+    assert len(out.trajectory) == 201
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256
 
 
 # ----------------------------------------------------------------- public API

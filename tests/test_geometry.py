@@ -129,8 +129,15 @@ def test_ray_strikes_obstacle_face():
 
 
 def test_zero_direction_gives_no_hit():
-    hit, _, normal, dist = cast(TANK, (1, 1), (0, 0))
+    hit, point, normal, dist = cast(TANK, (1, 1), (0, 0))
     assert not hit
+    assert tuple(point) == (1.0, 1.0)
+    assert tuple(normal) == (0.0, 0.0) and dist == 0.0
+    # a tank filled by its obstacle has no face to strike at all
+    solid = Arena(rect(0, 0, 1, 1), (rect(0, 0, 1, 1),))
+    hit, point, normal, dist = cast(solid, (0.5, 0.5), (1, 0.5))
+    assert not hit
+    assert tuple(point) == (0.5, 0.5)
     assert tuple(normal) == (0.0, 0.0) and dist == 0.0
 
 
@@ -298,18 +305,32 @@ def test_clamp_eps_band_moves_wall_points_but_not_obstacle_points():
 
 @pytest.mark.parametrize("arena", ALL_ARENAS)
 def test_clamp_always_lands_inside(arena):
+    eps = 1e-4
     rng = np.random.default_rng(31)
     b = arena.bounds
-    lo = np.array([b.lo.x, b.lo.y]) - 1.0
-    hi = np.array([b.hi.x, b.hi.y]) + 1.0
-    pts = rng.uniform(lo, hi, size=(3000, 2))
-    clamped, moved = clamp_many(arena, pts, 1e-4)
+    lo = np.array([b.lo.x, b.lo.y])
+    hi = np.array([b.hi.x, b.hi.y])
+    pts = rng.uniform(lo - 1.0, hi + 1.0, size=(3000, 2))
+    # fluid points closer than eps to the left and to the bottom wall
+    band = rng.uniform(lo + eps, hi - eps, size=(200, 2))
+    band[:100, 0] = b.lo.x + rng.uniform(0.0, eps, 100)
+    band[100:, 1] = b.lo.y + rng.uniform(0.0, eps, 100)
+    band = band[contains_many(arena, band)]
+    assert len(band) > 150
+    pts = np.concatenate([pts, band])
+    clamped, moved = clamp_many(arena, pts, eps)
     assert contains_many(arena, clamped).all()
     inside = contains_many(arena, pts)
-    # points that were already valid are untouched
-    np.testing.assert_array_equal(clamped[inside], pts[inside])
-    assert not moved[inside].any()
     assert moved[~inside].any(axis=1).all()
+    # fluid points more than eps from the outer walls are untouched ...
+    clear = inside & ((pts >= lo + eps) & (pts <= hi - eps)).all(axis=1)
+    np.testing.assert_array_equal(clamped[clear], pts[clear])
+    assert not moved[clear].any()
+    # ... and those in the band along a wall move to eps from it, flagged
+    near = inside & ~clear
+    assert near.sum() >= len(band)
+    np.testing.assert_array_equal(moved[near], (pts[near] < lo + eps) | (pts[near] > hi - eps))
+    np.testing.assert_array_equal(clamped[near], np.clip(pts[near], lo + eps, hi - eps))
 
 
 def test_clamp_is_deterministic_on_ties():

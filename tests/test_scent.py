@@ -1,12 +1,13 @@
 """Scent-field solver: discretization, conservation, sampling, CSV export."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from schoolsim.dynamics import ForceBlowUpError, SwarmState, step
-from schoolsim.geometry import Arena, AxisRect, Vec2
+from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
 from schoolsim.scent import (FoodSpec, GridError, read_field_csv,
                              sample_gradient_many, sample_value_many,
                              solve_field, write_field_csv)
@@ -199,7 +200,7 @@ def test_sampling_midpoint_is_linear():
     # overwrite two adjacent interior cells and read their midpoint
     f = field.values.copy()
     f[4, 5], f[5, 5] = 1.0, 3.0
-    patched = type(field)(**{**field.__dict__, "values": f})
+    patched = dataclasses.replace(field, values=f)
     xs, ys = patched.cell_centers()
     assert value_at(patched, (xs[4] + xs[5]) / 2, ys[5]) == pytest.approx(2.0, rel=1e-12)
 
@@ -229,6 +230,76 @@ def test_sampling_next_to_obstacle_uses_fluid_cells_only(field_config2):
     j = int(round(2.99 / f.spacing - 0.5))
     lo, hi = sorted((f.values[i, j], f.values[i, j + 1]))
     assert lo - 1e-12 <= v <= hi + 1e-12
+
+
+def reference_bilinear(field, pts, data):
+    """The stencil formula written out corner by corner: weights of solid
+    or off-grid corners are dropped and the rest renormalized."""
+    ox, oy = field.origin
+    h = field.spacing
+    u = (pts[:, 0] - ox) / h - 0.5
+    v = (pts[:, 1] - oy) / h - 0.5
+    i0 = np.floor(u).astype(np.int64)
+    j0 = np.floor(v).astype(np.int64)
+    fx = (u - i0)[:, None]
+    fy = (v - j0)[:, None]
+    ii = np.stack([i0, i0 + 1, i0, i0 + 1], axis=1)
+    jj = np.stack([j0, j0, j0 + 1, j0 + 1], axis=1)
+    wgt = np.concatenate(
+        [(1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy], axis=1
+    )
+    inside = (ii >= 0) & (ii < field.nx) & (jj >= 0) & (jj < field.ny)
+    iic = np.clip(ii, 0, field.nx - 1)
+    jjc = np.clip(jj, 0, field.ny - 1)
+    wgt = np.where(inside & field.fluid[iic, jjc], wgt, 0.0)
+    wsum = wgt.sum(axis=1)
+    vals = data[iic, jjc]
+    if vals.ndim == 2:
+        return (wgt * vals).sum(axis=1) / wsum
+    return (wgt[:, :, None] * vals).sum(axis=1) / wsum[:, None]
+
+
+def band_points(arena, half, n, rng):
+    """Points within `half` of every tank wall and on both sides of every
+    obstacle face, plus uniform points over the tank."""
+    b = arena.bounds
+    rects = [(b.lo.x, b.lo.y, b.hi.x, b.hi.y)]
+    rects += [(o.lo.x, o.lo.y, o.hi.x, o.hi.y) for o in arena.obstacles]
+    pts = [rng.uniform([b.lo.x, b.lo.y], [b.hi.x, b.hi.y], size=(n, 2))]
+    for x0, y0, x1, y1 in rects:
+        for x in (x0, x1):
+            pts.append(np.column_stack([rng.uniform(x - half, x + half, n),
+                                        rng.uniform(y0, y1, n)]))
+        for y in (y0, y1):
+            pts.append(np.column_stack([rng.uniform(x0, x1, n),
+                                        rng.uniform(y - half, y + half, n)]))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("name", ["config2", "config3"])
+def test_sampling_matches_reference_bit_for_bit(name, request):
+    cfg = request.getfixturevalue(name)
+    field = request.getfixturevalue(f"field_{name}")
+    rng = np.random.default_rng(17)
+    pts = band_points(cfg.arena, field.spacing / 2, 1500, rng)
+    fluid = pts[contains_many(cfg.arena, pts)]
+    assert len(fluid) > 5000
+    for data, kernel in ((field.values, sample_value_many),
+                         (field.grad, sample_gradient_many)):
+        want = reference_bilinear(field, fluid, data)
+        assert np.isfinite(want).all()
+        np.testing.assert_array_equal(kernel(field, fluid), want)
+    # off the grid, far and near, and deep inside obstacles
+    b = cfg.arena.bounds
+    off = np.array([[b.lo.x - 0.5, 1.0], [b.hi.x + 3 * field.spacing, 1.0],
+                    [1.0, b.lo.y - 1e6], [1.0, b.hi.y + 0.1], [-1e9, 1e9],
+                    [2.25, 3.0]])
+    with np.errstate(invalid="ignore"):
+        for data, kernel in ((field.values, sample_value_many),
+                             (field.grad, sample_gradient_many)):
+            assert np.isnan(kernel(field, off)).all()
+            np.testing.assert_array_equal(kernel(field, pts),
+                                          reference_bilinear(field, pts, data))
 
 
 # ------------------------------------------------------------------------ csv
