@@ -21,7 +21,8 @@ from .metrics import (Classifier, OutcomeState, classify,
                       connected_components, school_center)
 from .experiment import (ExperimentResult, SweepPoint, TrialConfig,
                          TrialOutcome, TrialRecord, builtin_config,
-                         initial_state, run_sweep, run_trial, trial_seed)
+                         initial_state, run_sweep, run_trial, run_trials,
+                         trial_seed)
 from .config import ConfigError, RunSpec, SweepSpec, parse_config, write_config
 
 __all__ = [
@@ -37,6 +38,6 @@ __all__ = [
     "school_center",
     "ExperimentResult", "SweepPoint", "TrialConfig", "TrialOutcome",
     "TrialRecord", "builtin_config", "initial_state", "run_sweep",
-    "run_trial", "trial_seed",
+    "run_trial", "run_trials", "trial_seed",
     "ConfigError", "RunSpec", "SweepSpec", "parse_config", "write_config",
 ]

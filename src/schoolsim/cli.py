@@ -165,11 +165,13 @@ def cmd_sweep(args) -> int:
     n_max = pick(args.n_max, sw.n_max if sw else None, "--n-max")
     trials = pick(args.trials, sw.trials if sw else None, "--trials")
     seed = pick(args.seed, sw.base_seed if sw else None, "--seed")
-    jobs = args.jobs if args.jobs is not None else (sw.jobs if sw and sw.jobs else 1)
+    jobs = args.jobs if args.jobs is not None else (sw.jobs if sw and sw.jobs is not None else 1)
     if n_min < 2 or n_max < n_min:
         raise ConfigError(f"bad school-size range [{n_min}, {n_max}]")
     if trials < 1:
         raise ConfigError(f"--trials must be positive, got {trials}")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be positive, got {jobs}")
 
     filenames = ["results.csv", "manifest.json"]
     if args.per_trial:

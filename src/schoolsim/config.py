@@ -8,6 +8,7 @@ an ``overrides`` map of dotted paths is applied on top, and command-line
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .geometry import Arena, AxisRect, Vec2
@@ -54,6 +55,17 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
+@contextmanager
+def _reraise(prefix=None):
+    """Turn a ValueError from a constructor into a ConfigError under prefix."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{prefix}: {e}" if prefix else str(e)) from e
+
+
 def _as_float(v, path):
     _require(isinstance(v, (int, float)) and not isinstance(v, bool), path,
              f"expected a number, got {v!r}")
@@ -84,12 +96,8 @@ def _vec(d, path) -> Vec2:
 def _rect(d, path) -> AxisRect:
     d = _as_dict(d, path, ("lo", "hi"))
     _require("lo" in d and "hi" in d, path, "needs both lo and hi")
-    try:
+    with _reraise(path):
         return AxisRect(_vec(d["lo"], f"{path}.lo"), _vec(d["hi"], f"{path}.hi"))
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from e
 
 
 def _build_trial(d: dict) -> TrialConfig:
@@ -100,32 +108,20 @@ def _build_trial(d: dict) -> TrialConfig:
     _require("bounds" in ad, "arena.bounds", "missing required field")
     obstacles = ad.get("obstacles", [])
     _require(isinstance(obstacles, list), "arena.obstacles", "expected a list")
-    try:
+    with _reraise("arena"):
         arena = Arena(_rect(ad["bounds"], "arena.bounds"),
                       tuple(_rect(o, f"arena.obstacles[{k}]") for k, o in enumerate(obstacles)))
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"arena: {e}") from e
 
     fd = _as_dict(d["food"], "food", ("center", "radius", "density", "diffusion", "decay"))
     _require("center" in fd, "food.center", "missing required field")
-    try:
+    with _reraise("food"):
         food = FoodSpec(center=_vec(fd["center"], "food.center"),
                         **{k: _as_float(fd[k], f"food.{k}") for k in
                            ("radius", "density", "diffusion", "decay") if k in fd})
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"food: {e}") from e
 
     pd = _as_dict(d["params"], "params", PARAM_FIELDS)
-    try:
+    with _reraise("params"):
         params = ModelParams(**{k: _as_float(v, f"params.{k}") for k, v in pd.items()})
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"params: {e}") from e
 
     cd = _as_dict(d["classifier"], "classifier", CLASSIFIER_FIELDS)
     _require("kind" in cd, "classifier.kind", "missing required field")
@@ -135,14 +131,10 @@ def _build_trial(d: dict) -> TrialConfig:
     for k in ("success_radius", "left_threshold", "right_threshold"):
         if k in cd:
             kw[k] = _as_float(cd[k], f"classifier.{k}")
-    try:
+    with _reraise("classifier"):
         classifier = Classifier(**kw)
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"classifier: {e}") from e
 
-    try:
+    with _reraise():
         return TrialConfig(
             arena=arena, food=food, params=params,
             n_fish=_as_int(d["n_fish"], "n_fish"),
@@ -151,10 +143,6 @@ def _build_trial(d: dict) -> TrialConfig:
             classifier=classifier,
             seed=_as_int(d.get("seed", 0), "seed"),
         )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
 
 
 def config_to_dict(trial: TrialConfig, spacing: float | None = None) -> dict:
@@ -224,10 +212,8 @@ def parse_config_dict(raw: dict, cli_overrides: dict | None = None) -> RunSpec:
     if "builtin" in raw:
         name = raw["builtin"]
         _require(isinstance(name, str), "builtin", f"expected a preset name, got {name!r}")
-        try:
+        with _reraise("builtin"):
             d = config_to_dict(builtin_config(name))
-        except ValueError as e:
-            raise ConfigError(f"builtin: {e}") from e
     explicit = {k: v for k, v in raw.items() if k not in ("builtin", "overrides")}
     d = _deep_merge(d, explicit)
     for path, value in raw.get("overrides", {}).items():

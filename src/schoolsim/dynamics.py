@@ -6,7 +6,7 @@ attraction/repulsion, velocity alignment, boundary avoidance driven by a
 ray cast along the heading, and a pull up the food-scent gradient.
 Positions integrate the (pre-update) velocity plus additive Gaussian
 noise, explicit Euler-Maruyama style, and are clamped to stay inside
-the arena.
+the arena.  advance() steps a (B, N, 2) batch of independent schools.
 """
 
 import math
@@ -29,7 +29,7 @@ NOISE_BLOCK = 256
 
 
 class ForceBlowUpError(RuntimeError):
-    """A force evaluation produced a non-finite value."""
+    """A force evaluation produced a non-finite value in the batch's ``schools``."""
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,10 @@ class ModelParams:
 
 @dataclass
 class SwarmState:
-    """Positions and velocities of the school at one instant.
+    """Positions and velocities of a school, or of a batch of schools, at one instant.
 
-    Arrays have shape (N, 2) with N >= 2.  Treated as immutable; step()
-    returns a fresh state.
+    Arrays have shape (N, 2), or (B, N, 2) for a batch, with N >= 2.
+    Treated as immutable; step() returns a fresh state.
     """
 
     time: float
@@ -89,12 +89,16 @@ class SwarmState:
         self.velocities = np.asarray(self.velocities, dtype=float)
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must have matching shapes")
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2 or self.positions.shape[0] < 2:
+        if self.positions.ndim not in (2, 3) or self.positions.shape[-1] != 2 or self.n_fish < 2:
             raise ValueError(f"state must hold at least two 2D fish, got shape {self.positions.shape}")
 
     @property
     def n_fish(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
+
+    def school(self, b: int) -> "SwarmState":
+        """School b of a batched state, in arrays of its own."""
+        return SwarmState(self.time, self.positions[b].copy(), self.velocities[b].copy())
 
 
 @lru_cache(maxsize=16)
@@ -106,10 +110,10 @@ def _inf_diagonal(n: int) -> np.ndarray:
 
 
 def _pair_kernels(positions: np.ndarray, params: ModelParams):
-    """Pairwise difference vectors and the two radial kernel matrices."""
-    diff = positions[:, None, :] - positions[None, :, :]
+    """Pairwise difference vectors and the two radial kernel matrices, per school."""
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
     # Adding 0.0 leaves a distance unchanged; the diagonal becomes inf.
-    dist = np.sqrt((diff * diff).sum(axis=2)) + _inf_diagonal(positions.shape[0])
+    dist = np.sqrt((diff * diff).sum(axis=-1)) + _inf_diagonal(positions.shape[-2])
     ratio = params.r / np.maximum(dist, EPS_DIST)
     rp = ratio**params.p
     rq = ratio**params.q
@@ -135,45 +139,45 @@ def obstacle_forces(positions: np.ndarray, velocities: np.ndarray,
 
 def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
                  field: ScentField | None, params: ModelParams) -> np.ndarray:
-    """Sum of all four forces at the given (synchronous) state."""
-    n = positions.shape[0]
-    force = np.zeros((n, 2))
+    """Sum of all four forces at a synchronous (N, 2) or (B, N, 2) state."""
+    force = np.zeros(positions.shape)
     if params.attraction != 0.0 or params.alignment != 0.0:
         diff, rp, rq = _pair_kernels(positions, params)
         if params.attraction != 0.0:
-            force -= params.attraction * np.einsum("ij,ijk->ik", rp - rq, diff)
+            force -= params.attraction * np.einsum("...ij,...ijk->...ik", rp - rq, diff)
         if params.alignment != 0.0:
-            dv = velocities[:, None, :] - velocities[None, :, :]
-            force -= params.alignment * np.einsum("ij,ijk->ik", rp + rq, dv)
+            dv = velocities[..., :, None, :] - velocities[..., None, :, :]
+            force -= params.alignment * np.einsum("...ij,...ijk->...ik", rp + rq, dv)
+    rows, vrows = positions.reshape(-1, 2), velocities.reshape(-1, 2)
     if params.avoidance != 0.0:
-        force += obstacle_forces(positions, velocities, arena, params)
+        force += obstacle_forces(rows, vrows, arena, params).reshape(force.shape)
     if params.sensitivity != 0.0 and field is not None:
-        force += params.sensitivity * sample_gradient_many(field, positions)
+        force += params.sensitivity * sample_gradient_many(field, rows).reshape(force.shape)
     return force
 
 
 def _cap_many(vel: np.ndarray, vmax: float) -> np.ndarray:
-    speed = np.hypot(vel[:, 0], vel[:, 1])
+    speed = np.hypot(vel[..., 0], vel[..., 1])
     factor = vmax / np.maximum(speed, vmax)
-    return vel * factor[:, None]
+    return vel * factor[..., None]
 
 
 def _advance_arrays(t: float, pos: np.ndarray, vel: np.ndarray, dw: np.ndarray,
                     arena: Arena, field: ScentField | None, params: ModelParams):
-    """One step on bare arrays: (pos, vel) at time t -> (pos, vel) at t + dt."""
+    """One step on bare (..., N, 2) arrays: (pos, vel) at t -> at t + dt."""
     force = total_forces(pos, vel, arena, field, params)
     if not np.isfinite(force).all():
-        bad = np.where(~np.isfinite(force).all(axis=1))[0]
-        raise ForceBlowUpError(
-            f"non-finite force on fish {bad.tolist()} at t={t:.6g}; "
-            f"params={params}"
-        )
+        bad = ~np.isfinite(force).all(axis=-1).reshape(-1, pos.shape[-2])
+        err = ForceBlowUpError(f"non-finite force on [school, fish] "
+                               f"{np.argwhere(bad).tolist()} at t={t:.6g}; params={params}")
+        err.schools = np.flatnonzero(bad.any(axis=1)).tolist()
+        raise err
     v_new = _cap_many(vel + params.dt * force, params.vmax)
-    x_new, moved = clamp_many(arena, pos + params.dt * vel + params.noise * dw,
-                              EPS_INSIDE)
+    proposal = (pos + params.dt * vel + params.noise * dw).reshape(-1, 2)
+    x_new, moved = clamp_many(arena, proposal, EPS_INSIDE)
     if moved.any():
-        v_new = np.where(moved, 0.0, v_new)
-    return x_new, v_new
+        v_new = np.where(moved.reshape(v_new.shape), 0.0, v_new)
+    return x_new.reshape(pos.shape), v_new
 
 
 def step(state: SwarmState, arena: Arena, field: ScentField | None,
@@ -198,26 +202,27 @@ def step(state: SwarmState, arena: Arena, field: ScentField | None,
 
 
 def advance(state: SwarmState, arena: Arena, field: ScentField | None,
-            params: ModelParams, rng: np.random.Generator, n_steps: int,
-            sample_stride: int = 0):
-    """Run n_steps steps; optionally record every sample_stride-th state.
+            params: ModelParams, rngs, n_steps: int, sample_stride: int = 0):
+    """Run a (B, N, 2) batch n_steps steps, school b drawing its noise from
+    rngs[b]; optionally record every sample_stride-th state.
 
-    Returns ``(final_state, samples)`` where samples is a list of the
-    recorded states (always including the initial and final ones) when
-    sample_stride > 0, else an empty list.  The trajectory and the draws
-    taken from rng are those of n_steps calls to step().
+    Returns ``(final_state, samples)`` where samples[b] lists the recorded
+    states of school b (always including the initial and final ones) when
+    sample_stride > 0, else samples is empty.  Each school moves and draws
+    as in n_steps calls to step() on it alone.
     """
-    samples = [state] if sample_stride > 0 else []
+    samples = [[state.school(b)] for b in range(len(rngs))] if sample_stride > 0 else []
     t, pos, vel = state.time, state.positions, state.velocities
     for k in range(n_steps):
         if k % NOISE_BLOCK == 0:
-            noise = rng.normal(0.0, math.sqrt(params.dt),
-                               size=(min(NOISE_BLOCK, n_steps - k),) + pos.shape)
+            size = (min(NOISE_BLOCK, n_steps - k),) + pos.shape[1:]
+            noise = np.stack([g.normal(0.0, math.sqrt(params.dt), size) for g in rngs], 1)
         pos, vel = _advance_arrays(t, pos, vel, noise[k % NOISE_BLOCK],
                                    arena, field, params)
         t += params.dt
         if sample_stride > 0 and ((k + 1) % sample_stride == 0 or k + 1 == n_steps):
-            samples.append(SwarmState(t, pos, vel))
+            for b, trail in enumerate(samples):
+                trail.append(SwarmState(t, pos[b].copy(), vel[b].copy()))
     if n_steps > 0:
         state = SwarmState(t, pos, vel)
     return state, samples

@@ -4,19 +4,22 @@ A trial draws a school uniformly inside an initial rectangle, integrates
 the dynamics for a fixed horizon against a precomputed scent field, and
 classifies the endpoint.  A sweep repeats trials across school sizes
 with per-trial seeds derived from a base seed by a fixed 64-bit mix, so
-results are reproducible regardless of execution order or worker count.
+results are reproducible regardless of execution order, worker count or
+batch size: the trials of a shard are stepped together as one batch.
 """
 
 import csv
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
+from functools import partial
 
 import numpy as np
 
 from .geometry import Arena, AxisRect, Vec2, contains_many
 from .scent import DEFAULT_SPACING, FoodSpec, ScentField, _check_food_in_fluid, solve_field
-from .dynamics import ModelParams, SwarmState, advance
+from .dynamics import ForceBlowUpError, ModelParams, SwarmState, advance
 from .metrics import (
     DEFAULT_COMPONENT_DELTA,
     Classifier,
@@ -33,6 +36,8 @@ TRIALS_CSV_HEADER = ["N", "trial_index", "seed", "outcome",
 TRAJECTORY_CSV_HEADER = ["t", "particle_id", "x", "y", "vx", "vy"]
 
 _M64 = (1 << 64) - 1
+# A sweep steps at most this many trials together in one batch.
+SHARD_TRIALS = 64
 
 
 def _splitmix64(z: int) -> int:
@@ -151,51 +156,43 @@ def initial_state(config: TrialConfig, rng: np.random.Generator) -> SwarmState:
     return SwarmState(0.0, pos, np.zeros_like(pos))
 
 
-def run_trial(config: TrialConfig, field: ScentField | None = None, *,
-              spacing: float = DEFAULT_SPACING,
-              component_delta: float = DEFAULT_COMPONENT_DELTA,
-              traj_stride: int = 0) -> TrialOutcome:
-    """Run one trial to its horizon and classify the endpoint.
-
-    The scent field is solved on demand when not supplied; sweeps supply
-    a shared one.  With traj_stride > 0 the sampled states are attached
-    to the returned outcome.
+def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
+               spacing: float = DEFAULT_SPACING,
+               component_delta: float = DEFAULT_COMPONENT_DELTA,
+               traj_stride: int = 0) -> list[TrialOutcome]:
+    """Run one trial of config per seed (config.seed is ignored), all stepped
+    as one batch.  Each outcome equals that of its trial run alone; its
+    wall_clock is the time of the whole batch.  The field is solved when
+    not supplied; with traj_stride > 0 each outcome carries sampled states.
     """
     if field is None:
         field = solve_field(config.arena, config.food, spacing)
     started = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    state = initial_state(config, rng)
-    if not contains_many(config.arena, state.positions).all():
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    pos = np.stack([initial_state(config, rng).positions for rng in rngs])
+    if not contains_many(config.arena, pos.reshape(-1, 2)).all():
         raise ValueError("initial positions fall outside the fluid region")
-    state, samples = advance(state, config.arena, field, config.params, rng,
-                             config.n_steps, sample_stride=traj_stride)
-    return TrialOutcome(
-        outcome=classify(state, config.classifier),
-        final_center=school_center(state),
-        final_components=connected_components(state, component_delta),
-        wall_clock=time.perf_counter() - started,
-        trajectory=samples if traj_stride > 0 else None,
-    )
+    try:
+        state, samples = advance(SwarmState(0.0, pos, np.zeros_like(pos)), config.arena,
+                                 field, config.params, rngs, config.n_steps,
+                                 sample_stride=traj_stride)
+    except ForceBlowUpError as e:  # name the seeds, which replay with `run --seed`
+        raise ForceBlowUpError(f"trial seed(s) {[seeds[b] for b in e.schools]}: {e}") from e
+    wall_clock = time.perf_counter() - started
+    finals = [state.school(b) for b in range(len(seeds))]
+    return [TrialOutcome(classify(s, config.classifier), school_center(s),
+                         connected_components(s, component_delta), wall_clock,
+                         samples[b] if traj_stride > 0 else None)
+            for b, s in enumerate(finals)]
 
 
-# Worker-side context for process pools: the template config and the
-# shared field are shipped once per worker, not once per trial.
-_WORKER_CTX = {}
-
-
-def _sweep_worker_init(base: TrialConfig, field: ScentField, component_delta: float):
-    _WORKER_CTX["base"] = base
-    _WORKER_CTX["field"] = field
-    _WORKER_CTX["delta"] = component_delta
-
-
-def _sweep_worker(task):
-    n_fish, trial_index, seed = task
-    cfg = replace(_WORKER_CTX["base"], n_fish=n_fish, seed=seed)
-    out = run_trial(cfg, _WORKER_CTX["field"], component_delta=_WORKER_CTX["delta"])
-    return (n_fish, trial_index, seed, out.outcome.value,
-            out.final_center.x, out.final_center.y, out.final_components)
+def run_trial(config: TrialConfig, field: ScentField | None = None, *,
+              spacing: float = DEFAULT_SPACING,
+              component_delta: float = DEFAULT_COMPONENT_DELTA,
+              traj_stride: int = 0) -> TrialOutcome:
+    """Run the trial seeded by config.seed: run_trials on a batch of one."""
+    return run_trials(config, [config.seed], field, spacing=spacing,
+                      component_delta=component_delta, traj_stride=traj_stride)[0]
 
 
 def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
@@ -206,35 +203,36 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
 
     Trial seeds come from trial_seed(base_seed, N, index), so the result
     is a pure function of (base, n_values, trials, base_seed) regardless
-    of parallelism.
+    of parallelism or batch size.  Each N's trials are cut into at least
+    `parallelism` contiguous shards of at most SHARD_TRIALS, and each shard
+    runs as one run_trials batch, in-process or in the pool.
     """
     n_values = list(n_values)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if field is None:
         field = solve_field(base.arena, base.food, spacing)
-    tasks = [(n, j, trial_seed(base_seed, n, j)) for n in n_values for j in range(trials)]
-
+    n_shards = min(trials, max(parallelism, -(-trials // SHARD_TRIALS)))
+    blocks = np.array_split(np.arange(trials), n_shards)
+    configs = [replace(base, n_fish=n) for n in n_values for _ in blocks]
+    seeds = [[trial_seed(base_seed, n, j) for j in block.tolist()]
+             for n in n_values for block in blocks]
+    run = partial(run_trials, field=field, component_delta=component_delta)
     if parallelism > 1:
-        with ProcessPoolExecutor(
-            max_workers=parallelism,
-            initializer=_sweep_worker_init,
-            initargs=(base, field, component_delta),
-        ) as pool:
-            raw = list(pool.map(_sweep_worker, tasks, chunksize=max(1, len(tasks) // (4 * parallelism))))
+        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+            shards = list(pool.map(run, configs, seeds))
     else:
-        _sweep_worker_init(base, field, component_delta)
-        raw = [_sweep_worker(t) for t in tasks]
+        shards = list(map(run, configs, seeds))
 
-    by_key = {(n, j): (seed, out, cx, cy, comps) for n, j, seed, out, cx, cy, comps in raw}
     points, records = [], []
-    for n in n_values:
-        counts = {s: 0 for s in OutcomeState}
-        for j in range(trials):
-            seed, out, cx, cy, comps = by_key[(n, j)]
-            outcome = OutcomeState(out)
-            counts[outcome] += 1
-            records.append(TrialRecord(n, j, seed, outcome, Vec2(cx, cy), comps))
+    for k, n in enumerate(n_values):
+        outs = [o for shard in shards[k * n_shards:(k + 1) * n_shards] for o in shard]
+        counts = Counter(o.outcome for o in outs)
+        records += [TrialRecord(n, j, trial_seed(base_seed, n, j), o.outcome,
+                                o.final_center, o.final_components)
+                    for j, o in enumerate(outs)]
         points.append(SweepPoint(
             n_fish=n, trials=trials,
             failure_count=counts[OutcomeState.FAILURE],

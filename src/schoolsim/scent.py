@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
-from .geometry import Arena, Vec2
+from .geometry import Arena, Vec2, contains_many
 
 DEFAULT_SPACING = 0.02
 GRID_TOL = 1e-9
@@ -183,9 +183,7 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
     ys = oy + (np.arange(ny) + 0.5) * h
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
 
-    fluid = np.ones((nx, ny), dtype=bool)
-    for ob in arena.obstacles:
-        fluid &= ~((xg > ob.lo.x) & (xg < ob.hi.x) & (yg > ob.lo.y) & (yg < ob.hi.y))
+    fluid = contains_many(arena, np.stack((xg, yg), axis=-1).reshape(-1, 2)).reshape(nx, ny)
 
     if source is None:
         d2 = (xg - food.center.x) ** 2 + (yg - food.center.y) ** 2

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schoolsim.dynamics import (NOISE_BLOCK, ForceBlowUpError, ModelParams,
                                 SwarmState, advance, step, total_forces)
@@ -36,6 +37,19 @@ def only(term, params=CALM):
 
 def forces(state, params, arena=TANK, field=None):
     return total_forces(state.positions, state.velocities, arena, field, params)
+
+
+def batch(*states):
+    """The given one-school states as a (B, N, 2) batch."""
+    return SwarmState(states[0].time, np.stack([s.positions for s in states]),
+                      np.stack([s.velocities for s in states]))
+
+
+def advance_one(state, arena, field, params, rng, n_steps, sample_stride=0):
+    """advance() on a batch of one, unpacked back to one school."""
+    final, samples = advance(batch(state), arena, field, params, [rng], n_steps,
+                             sample_stride)
+    return final.school(0), samples[0] if samples else []
 
 
 # ------------------------------------------------------------------ contracts
@@ -252,7 +266,7 @@ def test_determinism_bit_for_bit():
     def run(seed):
         rng = np.random.default_rng(seed)
         st = pair((1.0, 1.0), (1.2, 1.1), v1=(0.1, 0), v2=(0, 0.1))
-        final, _ = advance(st, TANK, None, CALM, rng, 200)
+        final, _ = advance_one(st, TANK, None, CALM, rng, 200)
         return final
 
     a, b = run(99), run(99)
@@ -269,8 +283,8 @@ def test_speed_bound_and_containment_under_stress():
     vel = rng.uniform(-0.8, 0.8, size=(n, 2))
     state = SwarmState(0.0, pos, vel)
     params = ModelParams(noise=0.05)  # strong jitter drives wall collisions
-    _, samples = advance(state, BAFFLE_ARENA, None, params, rng, 500,
-                         sample_stride=1)
+    _, samples = advance_one(state, BAFFLE_ARENA, None, params, rng, 500,
+                             sample_stride=1)
     assert len(samples) == 501
     for s in samples[1:]:
         speeds = np.hypot(s.velocities[:, 0], s.velocities[:, 1])
@@ -280,8 +294,8 @@ def test_speed_bound_and_containment_under_stress():
 
 def test_advance_equals_manual_steps():
     st = pair((2.0, 2.0), (2.2, 2.0), v1=(0.05, 0.02))
-    final, samples = advance(st, TANK, None, CALM,
-                             np.random.default_rng(3), 5, sample_stride=2)
+    final, samples = advance_one(st, TANK, None, CALM,
+                                 np.random.default_rng(3), 5, sample_stride=2)
     manual = st
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -302,8 +316,8 @@ def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
     start = SwarmState(0.0, rng0.uniform([1.0, 3.5], [2.0, 4.0], size=(6, 2)),
                        np.zeros((6, 2)))
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    final, samples = advance(start, arena, field_config2, params, rng_a, n_steps,
-                             sample_stride=50)
+    final, samples = advance_one(start, arena, field_config2, params, rng_a, n_steps,
+                                 sample_stride=50)
     manual, want = start, [start]
     for k in range(1, n_steps + 1):
         manual = step(manual, arena, field_config2, params, rng=rng_b)
@@ -315,3 +329,32 @@ def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
         np.testing.assert_array_equal(got.positions, exp.positions)
         np.testing.assert_array_equal(got.velocities, exp.velocities)
     assert rng_a.random() == rng_b.random()
+
+
+@settings(max_examples=15, deadline=None)
+@given(b=st.integers(1, 6), n=st.integers(2, 8), seed=st.integers(0, 2**32),
+       n_steps=st.integers(1, NOISE_BLOCK + 30), stride=st.integers(1, 40))
+def test_batched_advance_equals_each_school_alone(config2, field_config2,
+                                                   b, n, seed, n_steps, stride):
+    # every school of a batch steps exactly as it would alone: final state,
+    # samples and the next draw of its own generator, bit for bit
+    arena, params = config2.arena, config2.params
+    draw = np.random.default_rng(seed)
+    schools = [SwarmState(0.0, draw.uniform([1.0, 3.5], [2.0, 4.0], size=(n, 2)),
+                          draw.uniform(-0.5, 0.5, size=(n, 2))) for _ in range(b)]
+    seeds = draw.integers(0, 2**63, size=b).tolist()
+    rngs = [np.random.default_rng(s) for s in seeds]
+    final, samples = advance(batch(*schools), arena, field_config2, params, rngs,
+                             n_steps, sample_stride=stride)
+    assert final.positions.shape == (b, n, 2)
+    for k, (school, s) in enumerate(zip(schools, seeds)):
+        alone = np.random.default_rng(s)
+        want, want_samples = advance_one(school, arena, field_config2, params, alone,
+                                         n_steps, sample_stride=stride)
+        got = samples[k]
+        assert len(got) == len(want_samples)
+        for g, w in zip(got + [final.school(k)], want_samples + [want]):
+            assert g.time == w.time
+            np.testing.assert_array_equal(g.positions, w.positions)
+            np.testing.assert_array_equal(g.velocities, w.velocities)
+        assert rngs[k].random() == alone.random()

@@ -6,13 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schoolsim.dynamics import ModelParams
-from schoolsim.experiment import (TrialConfig, builtin_config, initial_state,
-                                  read_results_csv, read_trajectory_csv,
-                                  run_sweep, run_trial, trial_seed,
-                                  write_results_csv, write_trajectory_csv,
-                                  write_trials_csv)
+from schoolsim.dynamics import ForceBlowUpError, ModelParams
+from schoolsim.experiment import (SHARD_TRIALS, TrialConfig, builtin_config,
+                                  initial_state, read_results_csv,
+                                  read_trajectory_csv, run_sweep, run_trial,
+                                  run_trials, trial_seed, write_results_csv,
+                                  write_trajectory_csv, write_trials_csv)
 from schoolsim.geometry import AxisRect, Vec2
 from schoolsim.metrics import OutcomeState
 from schoolsim.scent import solve_field
@@ -166,6 +167,29 @@ def test_run_trial_records_trajectory_on_request():
     assert plain == out  # endpoint summary identical either way
 
 
+@settings(max_examples=10, deadline=None)
+@given(b=st.integers(1, 6), n=st.integers(2, 8), first=st.integers(0, 2**32),
+       stride=st.integers(1, 40))
+def test_run_trials_equals_each_trial_alone(config2, field_config2, b, n, first, stride):
+    # a batch of b trials gives, trial by trial, the outcome and the sampled
+    # trajectory of run_trial on that seed alone
+    cfg = dataclasses.replace(config2, n_fish=n, horizon=1.5)
+    seeds = [first + 7 * k for k in range(b)]
+    outs = run_trials(cfg, seeds, field_config2, traj_stride=stride)
+    assert len(outs) == b
+    wall = {o.wall_clock for o in outs}
+    assert len(wall) == 1 and wall.pop() > 0.0  # the time of the one batch
+    for seed, got in zip(seeds, outs):
+        want = run_trial(dataclasses.replace(cfg, seed=seed), field_config2,
+                         traj_stride=stride)
+        assert got == want  # outcome, exact final centre and components
+        assert len(got.trajectory) == len(want.trajectory)
+        for g, w in zip(got.trajectory, want.trajectory):
+            assert g.time == w.time
+            np.testing.assert_array_equal(g.positions, w.positions)
+            np.testing.assert_array_equal(g.velocities, w.velocities)
+
+
 # --------------------------------------------------------------------- sweeps
 
 def test_singleton_sweep():
@@ -181,13 +205,32 @@ def test_singleton_sweep():
 
 
 def test_sweep_independent_of_parallelism():
+    # 4 trials in 1, 2 or 3 shards per N; the 3-way split is uneven (2, 1, 1)
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
     field = coarse_field(base)
-    serial = run_sweep(cfg, [2, 3], trials=3, base_seed=11, parallelism=1, field=field)
-    pooled = run_sweep(cfg, [2, 3], trials=3, base_seed=11, parallelism=2, field=field)
-    assert serial.points == pooled.points
-    assert serial.records == pooled.records
+    serial = run_sweep(cfg, [2, 3], trials=4, base_seed=11, parallelism=1, field=field)
+    for parallelism in (2, 3):
+        pooled = run_sweep(cfg, [2, 3], trials=4, base_seed=11,
+                           parallelism=parallelism, field=field)
+        assert serial.points == pooled.points
+        assert serial.records == pooled.records
+
+
+def test_sweep_beyond_shard_cap_matches_single_trials():
+    # more trials than one shard may hold: the sweep runs them in two
+    # batches, and every record equals run_trial on its own seed
+    base = builtin_config("config2")
+    cfg = dataclasses.replace(base, horizon=0.05)
+    field = coarse_field(base)
+    trials = SHARD_TRIALS + 3
+    res = run_sweep(cfg, [2], trials=trials, base_seed=23, field=field)
+    assert [r.trial_index for r in res.records] == list(range(trials))
+    for rec in res.records:
+        alone = run_trial(dataclasses.replace(cfg, n_fish=2, seed=rec.seed), field)
+        assert rec.seed == trial_seed(23, 2, rec.trial_index)
+        assert (rec.outcome, rec.final_center, rec.components) == (
+            alone.outcome, alone.final_center, alone.final_components)
 
 
 def test_sweep_point_lookup_and_count_identity():
@@ -211,6 +254,26 @@ def test_sweep_rejects_bad_trial_count():
     base = builtin_config("config2")
     with pytest.raises(ValueError):
         run_sweep(base, [2], trials=0, base_seed=1, field=coarse_field(base))
+
+
+@pytest.mark.parametrize("parallelism", [0, -3])
+def test_sweep_rejects_bad_parallelism(parallelism):
+    base = builtin_config("config2")
+    with pytest.raises(ValueError, match="parallelism"):
+        run_sweep(base, [2], trials=1, base_seed=1, parallelism=parallelism,
+                  field=coarse_field(base))
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_sweep_blowup_names_the_trial_seed(parallelism):
+    base = builtin_config("config2")
+    cfg = dataclasses.replace(base, horizon=0.05, params=dataclasses.replace(
+        base.params, attraction=1e300, r=1e6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ForceBlowUpError) as err:
+            run_sweep(cfg, [2], trials=3, base_seed=5, parallelism=parallelism,
+                      field=coarse_field(base))
+    assert str(trial_seed(5, 2, 0)) in str(err.value)
 
 
 # ------------------------------------------------------------------------ csv
