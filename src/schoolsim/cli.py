@@ -10,16 +10,21 @@ Commands::
 Every command accepts repeated ``--set path=value`` overrides and refuses to
 overwrite existing outputs unless ``--force`` is given.  Exit status is 0 on
 success, 1 on a validation/usage error, 2 on a runtime failure.  Each command
-writes a ``manifest.json`` beside its outputs recording the exact inputs.
+writes a ``manifest.json`` beside its outputs recording the exact inputs
+and the environment that produced them.
 """
 
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy
+import scipy
 
 from . import __version__
 from .config import ConfigError, RunSpec, config_to_dict, parse_config
@@ -33,6 +38,7 @@ from .scent import (FIELD_CSV_HEADER, read_field_csv, solve_field,
                     write_field_csv)
 
 DEFAULT_TRAJ_STRIDE = 10
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -49,6 +55,14 @@ class RunManifest:
     def write(self, path):
         doc = dataclasses.asdict(self)
         doc["version"] = __version__
+        # CG rounds differently with another BLAS thread count, and the
+        # field and every trajectory inherit that rounding.
+        doc["environment"] = {
+            "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__,
+        }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -76,19 +90,13 @@ def _parse_sets(pairs):
     return out
 
 
-def _check_targets(paths, force):
-    if force:
-        return
-    for p in paths:
-        if Path(p).exists():
-            raise ConfigError(f"{p} exists; pass --force to overwrite")
-
-
 def _prepare_out(args, filenames):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     targets = [out / name for name in filenames]
-    _check_targets(targets, args.force)
+    for p in targets:
+        if p.exists() and not args.force:
+            raise ConfigError(f"{p} exists; pass --force to overwrite")
     return out, targets
 
 
@@ -206,13 +214,10 @@ def _sniff_csv(path) -> str:
             header = fh.readline().strip()
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
-    cols = header.split(",")
-    if cols == FIELD_CSV_HEADER:
-        return "field"
-    if cols == RESULTS_CSV_HEADER:
-        return "results"
-    if cols == TRAJECTORY_CSV_HEADER:
-        return "trajectory"
+    for kind, cols in (("field", FIELD_CSV_HEADER), ("results", RESULTS_CSV_HEADER),
+                       ("trajectory", TRAJECTORY_CSV_HEADER)):
+        if header.split(",") == cols:
+            return kind
     raise ConfigError(f"{path}: unrecognized CSV header {header!r}")
 
 

@@ -216,44 +216,39 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
     )
 
 
+def _operator(fluid, a, w):
+    """The masked 5-point matrix over the fluid cells in C order, written
+    straight into CSR: ``a + w * degree`` on the diagonal, ``-w`` per link."""
+    nx, ny = fluid.shape
+    n = int(fluid.sum())
+    idx = np.full((nx + 2, ny + 2), -1, dtype=np.int32)
+    idx[1:-1, 1:-1][fluid] = np.arange(n, dtype=np.int32)
+    # Columns W (i-1, j), S (i, j-1), centre, N (i, j+1), E (i+1, j): in C
+    # order that is ascending, so each row is stored sorted, as a COO to CSR
+    # conversion would store it.  The matvec sums a row in stored order,
+    # which fixes CG's rounding and with it the field, every trajectory and
+    # every digest taken of them; do not reorder.
+    cols = np.empty((n, 5), dtype=np.int32)
+    for k, (di, dj) in enumerate(((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))):
+        cols[:, k] = idx[di:di + nx, dj:dj + ny][fluid]
+    link = cols >= 0
+    count = link.sum(axis=1, dtype=np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(count, out=indptr[1:])
+    indices = cols[link]
+    data = np.full(indices.size, -w)
+    data[indptr[:-1] + link[:, 0] + link[:, 1]] = a + w * (count - 1.0)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
 def _solve_linear(fluid, f, food, h):
     """Assemble and CG-solve the masked 5-point system.  Returns
     (values, relative residual, iterations)."""
-    nx, ny = fluid.shape
-    n = int(fluid.sum())
-    idx = -np.ones((nx, ny), dtype=np.int64)
-    idx[fluid] = np.arange(n)
-
-    a, c = food.decay, food.diffusion
-    w = c / h**2
-    rows, cols, data = [], [], []
-    degree = np.zeros((nx, ny))
-    # (shifted slice pairs: cell block, neighbor block) for the 4 neighbors
-    links = [
-        ((slice(0, nx - 1), slice(None)), (slice(1, nx), slice(None))),
-        ((slice(None), slice(0, ny - 1)), (slice(None), slice(1, ny))),
-    ]
-    for cell_sl, nb_sl in links:
-        both = fluid[cell_sl] & fluid[nb_sl]
-        i_cell = idx[cell_sl][both]
-        i_nb = idx[nb_sl][both]
-        rows.extend((i_cell, i_nb))
-        cols.extend((i_nb, i_cell))
-        data.extend((np.full(i_cell.size, -w), np.full(i_nb.size, -w)))
-        degree[cell_sl][both] += 1.0
-        degree[nb_sl][both] += 1.0
-
-    diag = a + w * degree[fluid]
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    data.append(diag)
-    A = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    a = food.decay
+    A = _operator(fluid, a, food.diffusion / h**2)
 
     b = f[fluid]
-    values = np.zeros((nx, ny))
+    values = np.zeros(fluid.shape)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return values, 0.0, 0
@@ -267,7 +262,7 @@ def _solve_linear(fluid, f, food, h):
     # The reaction-limit guess b/a is exact for constant sources and a
     # reasonable start otherwise.
     x, _info = cg(A, b, x0=b / a, rtol=TARGET_RTOL, atol=0.0,
-                  maxiter=50 * max(nx, ny), callback=count)
+                  maxiter=50 * max(fluid.shape), callback=count)
     residual = float(np.linalg.norm(b - A @ x) / b_norm)
     if residual > CONTRACT_RTOL:
         raise FieldSolveError(

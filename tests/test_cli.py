@@ -2,7 +2,9 @@
 
 import json
 
+import numpy
 import pytest
+import scipy
 
 from schoolsim.cli import main
 
@@ -36,6 +38,20 @@ def test_solve_field_writes_csv_and_manifest(tmp_path, capsys):
     head = (out / "field.csv").read_text().splitlines()[0]
     assert head == "cell_i,cell_j,x_center,y_center,fluid_flag,U,dUdx,dUdy"
     assert "field: 40x40 cells" in capsys.readouterr().out
+
+
+def test_manifest_records_blas_threads_and_versions(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "field"
+    assert main(["solve-field", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(out), "--spacing", "0.1"]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["thread_env"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["thread_env"]["MKL_NUM_THREADS"] is None
+    assert "OMP_NUM_THREADS" in env["thread_env"]
+    assert env["cpus"] >= 1
+    assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
 
 
 def test_outputs_are_protected_from_overwrite(tmp_path):

@@ -1,14 +1,17 @@
 """Scent-field solver: discretization, conservation, sampling, CSV export."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from schoolsim.dynamics import ForceBlowUpError, SwarmState, step
 from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
-from schoolsim.scent import (FoodSpec, GridError, read_field_csv,
+from schoolsim.experiment import builtin_config
+from schoolsim.scent import (FoodSpec, GridError, _operator, read_field_csv,
                              sample_gradient_many, sample_value_many,
                              solve_field, write_field_csv)
 
@@ -125,6 +128,99 @@ def test_solution_matches_dense_direct_solve():
     u = np.linalg.solve(A, b)
     got = field.values[fluid]
     np.testing.assert_allclose(got, u, rtol=1e-9, atol=1e-12)
+
+
+def reference_operator(fluid, a, w):
+    """The masked 5-point matrix assembled link by link as COO triplets and
+    converted to CSR by scipy."""
+    nx, ny = fluid.shape
+    n = int(fluid.sum())
+    idx = -np.ones((nx, ny), dtype=np.int64)
+    idx[fluid] = np.arange(n)
+    rows, cols, data = [], [], []
+    degree = np.zeros((nx, ny))
+    links = [
+        ((slice(0, nx - 1), slice(None)), (slice(1, nx), slice(None))),
+        ((slice(None), slice(0, ny - 1)), (slice(None), slice(1, ny))),
+    ]
+    for cell_sl, nb_sl in links:
+        both = fluid[cell_sl] & fluid[nb_sl]
+        i_cell = idx[cell_sl][both]
+        i_nb = idx[nb_sl][both]
+        rows.extend((i_cell, i_nb))
+        cols.extend((i_nb, i_cell))
+        data.extend((np.full(i_cell.size, -w), np.full(i_nb.size, -w)))
+        degree[cell_sl][both] += 1.0
+        degree[nb_sl][both] += 1.0
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    data.append(a + w * degree[fluid])
+    return sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+
+
+def fluid_mask(arena, h):
+    b = arena.bounds
+    xs = b.lo.x + (np.arange(round(b.width / h)) + 0.5) * h
+    ys = b.lo.y + (np.arange(round(b.height / h)) + 0.5) * h
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack((xg, yg), axis=-1).reshape(-1, 2)
+    return contains_many(arena, pts).reshape(xg.shape)
+
+
+OPERATOR_ARENAS = {
+    "shared-edge": (Arena(rect(0, 0, 1, 1), (rect(0.2, 0.2, 0.5, 0.7),
+                                             rect(0.5, 0.3, 0.8, 0.5))), 0.05),
+    "flush-corner": (Arena(rect(0, 0, 1, 1), (rect(0, 0, 0.3, 0.4),)), 0.05),
+    "one-cell-channel": (Arena(rect(0, 0, 1, 1), (rect(0, 0.4, 0.4, 0.6),
+                                                  rect(0.5, 0.4, 1, 0.6))), 0.1),
+}
+
+
+@pytest.mark.parametrize("case", [f"{name}@{h}" for name in ("config1-left", "config2", "config3")
+                                  for h in (0.02, 0.05, 0.1)] + list(OPERATOR_ARENAS))
+def test_operator_matches_coo_assembly_byte_for_byte(case):
+    # The CSR row order fixes CG's rounding, so equal values are not enough.
+    if "@" in case:
+        name, h = case.split("@")
+        cfg = builtin_config(name)
+        arena, food, h = cfg.arena, cfg.food, float(h)
+    else:
+        (arena, h), food = OPERATOR_ARENAS[case], SMALL_FOOD
+    fluid = fluid_mask(arena, h)
+    a, w = food.decay, food.diffusion / h**2
+    got, want = _operator(fluid, a, w), reference_operator(fluid, a, w)
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        g, r = getattr(got, part), getattr(want, part)
+        assert g.dtype == r.dtype, part
+        assert g.tobytes() == r.tobytes(), part
+
+
+def test_one_cell_channel_cells_have_two_links():
+    arena, h = OPERATOR_ARENAS["one-cell-channel"]
+    fluid = fluid_mask(arena, h)
+    assert fluid[:, 4:6].sum() == 2 and fluid[4, 4:6].all()
+    A = _operator(fluid, 0.2, 10.0)
+    k = int(fluid.ravel()[:4 * fluid.shape[1] + 4].sum())  # cell (4, 4)
+    row = slice(A.indptr[k], A.indptr[k + 1])
+    assert list(A.indices[row]) == [k - 1, k, k + 1]  # S, centre, N
+    assert list(A.data[row]) == [-10.0, 0.2 + 10.0 * 2, -10.0]
+
+
+def test_solve_field_peak_memory(config2):
+    # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
+    # on every run.  The operator (2.3 MiB here) and the CG vectors should
+    # dominate, with no assembly scaffolding alive next to them.
+    tracemalloc.start()
+    try:
+        solve_field(config2.arena, config2.food, spacing=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_grid_convergence_on_production_arena(config1_left):
