@@ -180,6 +180,9 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--trials must be positive, got {trials}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be positive, got {jobs}")
+    if not (numpy.isfinite(args.component_delta) and args.component_delta > 0):
+        raise ConfigError(f"--component-delta must be positive and finite, "
+                          f"got {args.component_delta}")
 
     filenames = ["results.csv", "manifest.json"]
     if args.per_trial:

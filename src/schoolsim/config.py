@@ -4,26 +4,22 @@ Configs are JSON with nested keys named after the dataclass fields.  A
 file may name a ``builtin`` preset and then override any subset of keys;
 an ``overrides`` map of dotted paths is applied on top, and command-line
 ``--set`` overrides win over everything in the file.
+
+The dataclasses are the schema: ``_load`` builds any of them from its
+fields and type hints (a field without a default is required, ``X | None``
+means X, ``tuple[X, ...]`` is a JSON list) and ``_dump`` is its inverse,
+so a new field is a config key and a ``--set`` path with no edit here.
 """
 
 import json
 import re
-from contextlib import contextmanager
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache, partial
 
-from .geometry import Arena, AxisRect, Vec2
-from .scent import DEFAULT_SPACING, FoodSpec
-from .dynamics import ModelParams
-from .metrics import Classifier
+from .scent import DEFAULT_SPACING
 from .experiment import TrialConfig, builtin_config
-
-PARAM_FIELDS = ("attraction", "alignment", "avoidance", "p", "q", "P", "Q",
-                "r", "R", "sensitivity", "noise", "vmax", "dt")
-CLASSIFIER_FIELDS = ("kind", "food_center", "success_radius",
-                     "left_threshold", "right_threshold")
-SWEEP_FIELDS = ("n_min", "n_max", "trials", "base_seed", "jobs")
-TOP_FIELDS = ("builtin", "arena", "food", "params", "n_fish", "horizon",
-              "init_region", "classifier", "seed", "spacing", "sweep", "overrides")
 
 
 class ConfigError(ValueError):
@@ -50,133 +46,104 @@ class RunSpec:
     sweep: SweepSpec | None = None
 
 
-def _require(cond, path, msg):
-    if not cond:
-        raise ConfigError(f"{path}: {msg}")
-
-
-@contextmanager
-def _reraise(prefix=None):
-    """Turn a ValueError from a constructor into a ConfigError under prefix."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{prefix}: {e}" if prefix else str(e)) from e
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
 def _as_float(v, path):
-    _require(isinstance(v, (int, float)) and not isinstance(v, bool), path,
-             f"expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {v!r}")
     return float(v)
 
 
 def _as_int(v, path):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not (isinstance(v, int)
+                                   or isinstance(v, float) and v.is_integer()):
         raise ConfigError(f"{path}: expected an integer, got {v!r}")
-    if isinstance(v, float):
-        _require(v == int(v), path, f"expected an integer, got {v!r}")
     return int(v)
 
 
-def _as_dict(v, path, allowed):
-    _require(isinstance(v, dict), path, f"expected an object, got {type(v).__name__}")
-    for k in v:
-        _require(k in allowed, f"{path}.{k}", "unknown field")
+def _as_str(v, path):
+    if not isinstance(v, str):
+        raise ConfigError(f"{path}: expected a string, got {v!r}")
     return v
 
 
-def _vec(d, path) -> Vec2:
-    d = _as_dict(d, path, ("x", "y"))
-    _require("x" in d and "y" in d, path, "needs both x and y")
-    return Vec2(_as_float(d["x"], f"{path}.x"), _as_float(d["y"], f"{path}.y"))
+def _as_dict(v, path, allowed):
+    if not isinstance(v, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(v).__name__}")
+    for k in v:
+        if k not in allowed:
+            raise ConfigError(f"{_join(path, k)}: unknown field")
+    return v
 
 
-def _rect(d, path) -> AxisRect:
-    d = _as_dict(d, path, ("lo", "hi"))
-    _require("lo" in d and "hi" in d, path, "needs both lo and hi")
-    with _reraise(path):
-        return AxisRect(_vec(d["lo"], f"{path}.lo"), _vec(d["hi"], f"{path}.hi"))
+def _as_tuple(load_item, v, path):
+    if not isinstance(v, list):
+        raise ConfigError(f"{path}: expected a list")
+    return tuple(load_item(x, f"{path}[{k}]") for k, x in enumerate(v))
 
 
-def _build_trial(d: dict) -> TrialConfig:
-    for key in ("arena", "food", "params", "n_fish", "horizon", "init_region", "classifier"):
-        _require(key in d, key, "missing required field")
+def _loader(tp):
+    """The function (value, path) -> instance that loads a JSON value of type tp."""
+    if typing.get_origin(tp) is types.UnionType:  # X | None means X
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+    if typing.get_origin(tp) is tuple:  # tuple[X, ...] is a JSON list
+        return partial(_as_tuple, _loader(typing.get_args(tp)[0]))
+    if is_dataclass(tp):
+        return partial(_load, tp)
+    return {float: _as_float, int: _as_int, str: _as_str}[tp]
 
-    ad = _as_dict(d["arena"], "arena", ("bounds", "obstacles"))
-    _require("bounds" in ad, "arena.bounds", "missing required field")
-    obstacles = ad.get("obstacles", [])
-    _require(isinstance(obstacles, list), "arena.obstacles", "expected a list")
-    with _reraise("arena"):
-        arena = Arena(_rect(ad["bounds"], "arena.bounds"),
-                      tuple(_rect(o, f"arena.obstacles[{k}]") for k, o in enumerate(obstacles)))
 
-    fd = _as_dict(d["food"], "food", ("center", "radius", "density", "diffusion", "decay"))
-    _require("center" in fd, "food.center", "missing required field")
-    with _reraise("food"):
-        food = FoodSpec(center=_vec(fd["center"], "food.center"),
-                        **{k: _as_float(fd[k], f"food.{k}") for k in
-                           ("radius", "density", "diffusion", "decay") if k in fd})
+@cache
+def _schema(cls) -> dict:
+    """Field name -> (loader, required) of a dataclass, from its type hints."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (_loader(hints[f.name]),
+                     f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
 
-    pd = _as_dict(d["params"], "params", PARAM_FIELDS)
-    with _reraise("params"):
-        params = ModelParams(**{k: _as_float(v, f"params.{k}") for k, v in pd.items()})
 
-    cd = _as_dict(d["classifier"], "classifier", CLASSIFIER_FIELDS)
-    _require("kind" in cd, "classifier.kind", "missing required field")
-    kw = {"kind": cd["kind"]}
-    if "food_center" in cd:
-        kw["food_center"] = _vec(cd["food_center"], "classifier.food_center")
-    for k in ("success_radius", "left_threshold", "right_threshold"):
-        if k in cd:
-            kw[k] = _as_float(cd[k], f"classifier.{k}")
-    with _reraise("classifier"):
-        classifier = Classifier(**kw)
+def _load(cls, d, path=""):
+    """Build dataclass cls from the JSON object d found at dotted path."""
+    schema = _schema(cls)
+    _as_dict(d, path, schema)
+    kw = {}
+    for name, (load, required) in schema.items():
+        if name in d:
+            kw[name] = load(d[name], _join(path, name))
+        elif required:
+            # Name the object that lacks the field, so the error anchors to it.
+            raise ConfigError(f"{path}: missing required field {name}" if path
+                              else f"{name}: missing required field")
+    try:
+        return cls(**kw)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}" if path else str(e)) from e
 
-    with _reraise():
-        return TrialConfig(
-            arena=arena, food=food, params=params,
-            n_fish=_as_int(d["n_fish"], "n_fish"),
-            horizon=_as_float(d["horizon"], "horizon"),
-            init_region=_rect(d["init_region"], "init_region"),
-            classifier=classifier,
-            seed=_as_int(d.get("seed", 0), "seed"),
-        )
+
+def _dump(obj):
+    """Inverse of _load: the JSON form of a dataclass value, None fields left out."""
+    if is_dataclass(obj):
+        return {name: _dump(v) for name in _schema(type(obj))
+                if (v := getattr(obj, name)) is not None}
+    if isinstance(obj, tuple):
+        return [_dump(v) for v in obj]
+    return obj
 
 
 def config_to_dict(trial: TrialConfig, spacing: float | None = None) -> dict:
     """Canonical plain-dict form of a trial config (inverse of parsing)."""
-    def vec(v):
-        return {"x": v.x, "y": v.y}
-
-    def rect(r):
-        return {"lo": vec(r.lo), "hi": vec(r.hi)}
-
-    cls = {"kind": trial.classifier.kind}
-    if trial.classifier.food_center is not None:
-        cls["food_center"] = vec(trial.classifier.food_center)
-    for k in ("success_radius", "left_threshold", "right_threshold"):
-        v = getattr(trial.classifier, k)
-        if v is not None:
-            cls[k] = v
-
-    d = {
-        "arena": {"bounds": rect(trial.arena.bounds),
-                  "obstacles": [rect(o) for o in trial.arena.obstacles]},
-        "food": {"center": vec(trial.food.center), "radius": trial.food.radius,
-                 "density": trial.food.density, "diffusion": trial.food.diffusion,
-                 "decay": trial.food.decay},
-        "params": {k: getattr(trial.params, k) for k in PARAM_FIELDS},
-        "n_fish": trial.n_fish,
-        "horizon": trial.horizon,
-        "init_region": rect(trial.init_region),
-        "classifier": cls,
-        "seed": trial.seed,
-    }
+    d = _dump(trial)
     if spacing is not None:
         d["spacing"] = spacing
     return d
+
+
+@cache
+def _builtin_json(name: str) -> str:
+    """A preset's dict form as JSON text; each parse loads its own copy."""
+    return json.dumps(config_to_dict(builtin_config(name)))
 
 
 def _deep_merge(base: dict, extra: dict) -> dict:
@@ -207,13 +174,17 @@ def parse_config_dict(raw: dict, cli_overrides: dict | None = None) -> RunSpec:
     Precedence, lowest to highest: builtin preset, explicit file fields,
     the file's ``overrides`` map, then ``cli_overrides``.
     """
-    _as_dict(raw, "config", TOP_FIELDS)
+    _as_dict(raw, "config", {"builtin", "overrides", "spacing", "sweep",
+                             *_schema(TrialConfig)})
     d = {}
     if "builtin" in raw:
         name = raw["builtin"]
-        _require(isinstance(name, str), "builtin", f"expected a preset name, got {name!r}")
-        with _reraise("builtin"):
-            d = config_to_dict(builtin_config(name))
+        if not isinstance(name, str):
+            raise ConfigError(f"builtin: expected a preset name, got {name!r}")
+        try:
+            d = json.loads(_builtin_json(name))
+        except ValueError as e:
+            raise ConfigError(f"builtin: {e}") from e
     explicit = {k: v for k, v in raw.items() if k not in ("builtin", "overrides")}
     d = _deep_merge(d, explicit)
     for path, value in raw.get("overrides", {}).items():
@@ -222,11 +193,8 @@ def parse_config_dict(raw: dict, cli_overrides: dict | None = None) -> RunSpec:
         apply_dotted(d, path, value)
 
     spacing = _as_float(d.pop("spacing", DEFAULT_SPACING), "spacing")
-    sweep = None
-    if "sweep" in d:
-        sd = _as_dict(d.pop("sweep"), "sweep", SWEEP_FIELDS)
-        sweep = SweepSpec(**{k: _as_int(v, f"sweep.{k}") for k, v in sd.items()})
-    return RunSpec(trial=_build_trial(d), spacing=spacing, sweep=sweep)
+    sweep = _load(SweepSpec, d.pop("sweep"), "sweep") if "sweep" in d else None
+    return RunSpec(trial=_load(TrialConfig, d), spacing=spacing, sweep=sweep)
 
 
 def _anchor_line(text: str, field_path: str) -> int | None:
@@ -273,10 +241,8 @@ def parse_config(path, cli_overrides: dict | None = None) -> RunSpec:
 
 def write_config(spec: RunSpec, path):
     """Write a RunSpec back to JSON; parse_config inverts this exactly."""
-    d = config_to_dict(spec.trial, spacing=spec.spacing)
-    if spec.sweep is not None:
-        d["sweep"] = {k: getattr(spec.sweep, k) for k in SWEEP_FIELDS
-                      if getattr(spec.sweep, k) is not None}
+    d = _dump(spec)
+    d |= d.pop("trial")
     with open(path, "w") as fh:
         json.dump(d, fh, indent=2, sort_keys=True)
         fh.write("\n")

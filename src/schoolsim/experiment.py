@@ -212,6 +212,8 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    if not (np.isfinite(component_delta) and component_delta > 0):
+        raise ValueError(f"component_delta must be positive and finite, got {component_delta}")
     if field is None:
         field = solve_field(base.arena, base.food, spacing)
     n_shards = min(trials, max(parallelism, -(-trials // SHARD_TRIALS)))

@@ -75,7 +75,7 @@ class Arena:
     """
 
     bounds: AxisRect
-    obstacles: tuple = field(default_factory=tuple)
+    obstacles: tuple[AxisRect, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         self.obstacles = tuple(self.obstacles)

@@ -153,6 +153,22 @@ def _grid_shape(arena: Arena, spacing: float):
     return shape[0], shape[1]
 
 
+def _fluid_and_source(arena: Arena, food: FoodSpec, h: float, nx: int, ny: int, source):
+    """Fluid mask and emission on the cell centres.  The coordinate grids
+    die on return, so none of them is alive during the solve."""
+    b = arena.bounds
+    xg, yg = np.meshgrid(b.lo.x + (np.arange(nx) + 0.5) * h,
+                         b.lo.y + (np.arange(ny) + 0.5) * h, indexing="ij")
+    fluid = contains_many(arena, np.stack((xg, yg), axis=-1).reshape(-1, 2)).reshape(nx, ny)
+    if source is None:
+        d2 = (xg - food.center.x) ** 2 + (yg - food.center.y) ** 2
+        f = np.where(d2 <= food.radius**2, food.density, 0.0)
+    else:
+        f = np.broadcast_to(np.asarray(source(xg, yg), dtype=float), (nx, ny)).copy()
+    f[~fluid] = 0.0
+    return fluid, f
+
+
 def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
                 source=None) -> ScentField:
     """Solve the scent balance for the given arena/food pairing.
@@ -177,41 +193,21 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
         )
 
     h = spacing
-    b = arena.bounds
-    ox, oy = b.lo.x, b.lo.y
-    xs = ox + (np.arange(nx) + 0.5) * h
-    ys = oy + (np.arange(ny) + 0.5) * h
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-
-    fluid = contains_many(arena, np.stack((xg, yg), axis=-1).reshape(-1, 2)).reshape(nx, ny)
-
-    if source is None:
-        d2 = (xg - food.center.x) ** 2 + (yg - food.center.y) ** 2
-        f = np.where(d2 <= food.radius**2, food.density, 0.0)
-    else:
-        f = np.broadcast_to(np.asarray(source(xg, yg), dtype=float), (nx, ny)).copy()
-    f[~fluid] = 0.0
-
+    fluid, f = _fluid_and_source(arena, food, h, nx, ny, source)
     values, residual, iterations = _solve_linear(fluid, f, food, h)
 
-    grad = np.zeros((nx, ny, 2))
-    inv2h = 1.0 / (2.0 * h)
     # Central differences where both axis neighbors are fluid; the
     # component normal to a boundary-adjacent face stays zero, matching
     # the zero-flux closure.
-    ok = np.zeros((nx, ny), dtype=bool)
-    ok[1:-1, :] = fluid[1:-1, :] & fluid[2:, :] & fluid[:-2, :]
-    gx = np.zeros((nx, ny))
-    gx[1:-1, :] = (values[2:, :] - values[:-2, :]) * inv2h
-    grad[:, :, 0] = np.where(ok, gx, 0.0)
-    ok = np.zeros((nx, ny), dtype=bool)
-    ok[:, 1:-1] = fluid[:, 1:-1] & fluid[:, 2:] & fluid[:, :-2]
-    gy = np.zeros((nx, ny))
-    gy[:, 1:-1] = (values[:, 2:] - values[:, :-2]) * inv2h
-    grad[:, :, 1] = np.where(ok, gy, 0.0)
+    grad = np.zeros((nx, ny, 2))
+    inv2h = 1.0 / (2.0 * h)
+    for axis in (0, 1):
+        v, fl, g = (np.moveaxis(x, axis, 0) for x in (values, fluid, grad[:, :, axis]))
+        g[1:-1] = np.where(fl[1:-1] & fl[2:] & fl[:-2], (v[2:] - v[:-2]) * inv2h, 0.0)
 
+    b = arena.bounds
     return ScentField(
-        arena=arena, spacing=h, origin=(ox, oy), nx=nx, ny=ny, fluid=fluid,
+        arena=arena, spacing=h, origin=(b.lo.x, b.lo.y), nx=nx, ny=ny, fluid=fluid,
         values=values, grad=grad, source=f, residual=residual, iterations=iterations,
     )
 

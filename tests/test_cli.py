@@ -158,6 +158,17 @@ def test_sweep_rejects_bad_jobs_flag(tmp_path, capsys, jobs):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "0", "-1"])
+def test_sweep_rejects_bad_component_delta(tmp_path, capsys, delta):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--n-min", "2", "--n-max", "2", "--trials", "1",
+                 "--seed", "9", f"--component-delta={delta}"]) == 1
+    assert "--component-delta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_jobs_in_config(tmp_path, capsys):
     payload = dict(QUICK)
     payload["sweep"] = {"n_min": 2, "n_max": 2, "trials": 1, "base_seed": 5, "jobs": 0}

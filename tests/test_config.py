@@ -8,8 +8,11 @@ import pytest
 from schoolsim.config import (ConfigError, RunSpec, SweepSpec, apply_dotted,
                               config_to_dict, parse_config, parse_config_dict,
                               write_config)
-from schoolsim.experiment import builtin_config
+from schoolsim.dynamics import ModelParams
+from schoolsim.experiment import TrialConfig, builtin_config
 from schoolsim.geometry import AxisRect, Vec2
+from schoolsim.metrics import Classifier
+from schoolsim.scent import FoodSpec
 
 BUILTINS = ("config1-left", "config1-right", "config2", "config3")
 
@@ -106,6 +109,60 @@ def test_round_trip_keeps_exact_floats(tmp_path):
     assert back.trial.params.sensitivity == 1 / 3
 
 
+def every_field_config(classifier):
+    """config3's two obstacles with every other field off its default."""
+    base = builtin_config("config3")
+    params = ModelParams(**{f.name: 1.25 * f.default
+                            for f in dataclasses.fields(ModelParams)})
+    food = FoodSpec(center=Vec2(6.25, 0.5), radius=0.05, density=40.0,
+                    diffusion=0.15, decay=0.3)
+    return TrialConfig(arena=base.arena, food=food, params=params, n_fish=7, horizon=3.5,
+                       init_region=AxisRect(Vec2(0.5, 3.0), Vec2(1.5, 3.75)),
+                       classifier=classifier, seed=11)
+
+
+def assert_keys_are_fields(d, obj, path="config"):
+    """Each JSON object's keys are its dataclass's non-None fields, in order."""
+    present = [f.name for f in dataclasses.fields(obj) if getattr(obj, f.name) is not None]
+    assert list(d) == present, path
+    for name in present:
+        value = getattr(obj, name)
+        if dataclasses.is_dataclass(value):
+            assert_keys_are_fields(d[name], value, f"{path}.{name}")
+        elif isinstance(value, tuple):
+            assert len(d[name]) == len(value), f"{path}.{name}"
+            for k, (item, v) in enumerate(zip(d[name], value)):
+                assert_keys_are_fields(item, v, f"{path}.{name}[{k}]")
+
+
+@pytest.mark.parametrize("classifier", [
+    Classifier("center-distance", food_center=Vec2(6.0, 0.5), success_radius=0.75,
+               left_threshold=1.0, right_threshold=4.0),
+    Classifier("min-x-threshold", right_threshold=3.0),
+    Classifier("band-three-state", left_threshold=1.5, right_threshold=5.5),
+])
+def test_every_field_round_trips(classifier):
+    trial = every_field_config(classifier)
+    for obj in (trial, trial.params, trial.food):
+        for f in dataclasses.fields(obj):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(obj, f.name) != f.default, f.name
+    assert len(trial.arena.obstacles) == 2
+    d = config_to_dict(trial)
+    assert parse_config_dict(d).trial == trial
+    assert_keys_are_fields(d, trial)
+
+
+def test_builtin_cache_is_not_mutated_by_overrides():
+    first = parse_config_dict({"builtin": "config2",
+                               "overrides": {"params.sensitivity": 1.0,
+                                             "food.center.x": 3.0}})
+    assert first.trial.params.sensitivity == 1.0
+    again = parse_config_dict({"builtin": "config2"})
+    assert again.trial.params.sensitivity == 2.0
+    assert again.trial == builtin_config("config2")
+
+
 # ----------------------------------------------------------------- bad inputs
 
 def test_malformed_json_reports_position(tmp_path):
@@ -151,6 +208,29 @@ def test_missing_required_field(tmp_path):
     with pytest.raises(ConfigError) as err:
         load(tmp_path, payload)
     assert "food: missing required field" in str(err.value)
+
+
+def test_missing_nested_field_anchors_to_its_object(tmp_path):
+    # a fully explicit config2; the "x" keys after food.center must not
+    # capture the anchor
+    payload = config_to_dict(builtin_config("config2"))
+    del payload["food"]["center"]["x"]
+    path = tmp_path / "nox.json"
+    text = json.dumps(payload, indent=1)
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    msg = str(err.value)
+    assert "food.center" in msg
+    expect_line = next(i for i, ln in enumerate(text.splitlines(), 1)
+                       if '"center"' in ln)
+    assert msg.startswith(f"{path}:{expect_line}:")
+
+
+def test_unknown_override_path_is_named(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, {"builtin": "config2", "overrides": {"n_fsh": 4}})
+    assert "n_fsh: unknown field" in str(err.value)
 
 
 def test_validation_error_names_field_and_line(tmp_path):

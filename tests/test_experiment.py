@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -264,6 +265,19 @@ def test_sweep_rejects_bad_parallelism(parallelism):
                   field=coarse_field(base))
 
 
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), 0.0, -1.0])
+def test_sweep_rejects_bad_component_delta(monkeypatch, delta):
+    base = builtin_config("config2")
+    field = coarse_field(base)
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before component_delta was checked")
+
+    monkeypatch.setattr("schoolsim.experiment.run_trials", no_trials)
+    with pytest.raises(ValueError, match="component_delta"):
+        run_sweep(base, [2], trials=1, base_seed=1, component_delta=delta, field=field)
+
+
 @pytest.mark.parametrize("parallelism", [1, 2])
 def test_sweep_blowup_names_the_trial_seed(parallelism):
     base = builtin_config("config2")
@@ -319,6 +333,10 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 # SHA-256 of the trajectory.csv of config3, N=10, seed 1234, 2000 steps,
 # every 10th state, as recorded before the step kernels were table-driven.
+# It depends on the BLAS thread count, because CG rounds its dot products
+# differently with another count: it holds for OpenBLAS at its default on a
+# 2-CPU machine (2 threads) and fails with OPENBLAS_NUM_THREADS=1.  The
+# perfbench digests are the 1-thread ones.
 GOLDEN_TRAJECTORY_SHA256 = "a4cf5c9d0aec9c7f0192c63a1914274ecd75dbf4958a45241ab92682aa67d913"
 
 
@@ -328,7 +346,11 @@ def test_golden_trajectory_is_bit_identical(tmp_path, config3, field_config3):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(out.trajectory, path)
     assert len(out.trajectory) == 201
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256, (
+        f"trajectory digest differs with OPENBLAS_NUM_THREADS="
+        f"{os.environ.get('OPENBLAS_NUM_THREADS')} and {cpus} CPUs; the golden "
+        "digest holds for OpenBLAS's default thread count on 2 CPUs")
 
 
 # ----------------------------------------------------------------- public API

@@ -213,14 +213,15 @@ def test_one_cell_channel_cells_have_two_links():
 def test_solve_field_peak_memory(config2):
     # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
     # on every run.  The operator (2.3 MiB here) and the CG vectors should
-    # dominate, with no assembly scaffolding alive next to them.
+    # dominate (5.0 MiB in all), with no assembly scaffolding or coordinate
+    # grid alive next to them.
     tracemalloc.start()
     try:
         solve_field(config2.arena, config2.food, spacing=0.02)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
+    assert peak < 5.5 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_grid_convergence_on_production_arena(config1_left):
