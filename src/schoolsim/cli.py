@@ -32,7 +32,6 @@ from .experiment import (RESULTS_CSV_HEADER, TRAJECTORY_CSV_HEADER,
                          run_sweep, run_trial, read_results_csv,
                          read_trajectory_csv, write_results_csv,
                          write_trials_csv, write_trajectory_csv)
-from .metrics import DEFAULT_COMPONENT_DELTA
 from .plots import render_heatmap, render_success_curve, render_trajectories
 from .scent import (FIELD_CSV_HEADER, read_field_csv, solve_field,
                     write_field_csv)
@@ -83,6 +82,7 @@ def _parse_sets(pairs):
         key = key.strip()
         if not key:
             raise ConfigError(f"--set needs a non-empty path, got {item!r}")
+        out.pop(key, None)  # a repeated path is applied in its last place
         try:
             out[key] = json.loads(raw)
         except json.JSONDecodeError:
@@ -159,6 +159,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.component_delta is not None:  # the last --set, so it wins
+        args.sets.append(f"classifier.component_delta={json.dumps(args.component_delta)}")
     spec, overrides = _load_spec(args)
     sw = spec.sweep
 
@@ -180,9 +182,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--trials must be positive, got {trials}")
     if jobs < 1:
         raise ConfigError(f"--jobs must be positive, got {jobs}")
-    if not (numpy.isfinite(args.component_delta) and args.component_delta > 0):
-        raise ConfigError(f"--component-delta must be positive and finite, "
-                          f"got {args.component_delta}")
 
     filenames = ["results.csv", "manifest.json"]
     if args.per_trial:
@@ -193,7 +192,7 @@ def cmd_sweep(args) -> int:
     n_values = list(range(n_min, n_max + 1))
     t0 = time.perf_counter()
     result = run_sweep(spec.trial, n_values, trials, seed, parallelism=jobs,
-                       spacing=spec.spacing, component_delta=args.component_delta)
+                       spacing=spec.spacing)
     elapsed = time.perf_counter() - t0
     write_results_csv(result, results_path)
     if args.per_trial:
@@ -201,8 +200,7 @@ def cmd_sweep(args) -> int:
     RunManifest("sweep", str(args.config), str(out), overrides,
                 args={"n_min": n_min, "n_max": n_max, "trials": trials,
                       "seed": seed, "jobs": jobs, "per_trial": bool(args.per_trial),
-                      "spacing": spec.spacing,
-                      "component_delta": args.component_delta},
+                      "spacing": spec.spacing},
                 resolved_config=config_to_dict(spec.trial, spec.spacing)).write(man_path)
     for p in result.points:
         print(f"N={p.n_fish:3d}: {p.success_count}/{p.trials} success "
@@ -305,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, metavar="J")
     p.add_argument("--per-trial", action="store_true",
                    help="also write one row per trial to trials.csv")
-    p.add_argument("--component-delta", type=float,
-                   default=DEFAULT_COMPONENT_DELTA, metavar="D")
+    p.add_argument("--component-delta", type=float, metavar="D",
+                   help="same as --set classifier.component_delta=D")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plot", parents=[common],

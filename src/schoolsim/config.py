@@ -69,11 +69,11 @@ def _as_str(v, path):
     return v
 
 
-def _as_dict(v, path, allowed):
+def _as_dict(v, path, allowed=None):
     if not isinstance(v, dict):
         raise ConfigError(f"{path}: expected an object, got {type(v).__name__}")
     for k in v:
-        if k not in allowed:
+        if allowed is not None and k not in allowed:
             raise ConfigError(f"{_join(path, k)}: unknown field")
     return v
 
@@ -187,7 +187,7 @@ def parse_config_dict(raw: dict, cli_overrides: dict | None = None) -> RunSpec:
             raise ConfigError(f"builtin: {e}") from e
     explicit = {k: v for k, v in raw.items() if k not in ("builtin", "overrides")}
     d = _deep_merge(d, explicit)
-    for path, value in raw.get("overrides", {}).items():
+    for path, value in _as_dict(raw.get("overrides", {}), "overrides").items():
         apply_dotted(d, path, value)
     for path, value in (cli_overrides or {}).items():
         apply_dotted(d, path, value)

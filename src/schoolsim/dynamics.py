@@ -96,10 +96,6 @@ class SwarmState:
     def n_fish(self) -> int:
         return self.positions.shape[-2]
 
-    def school(self, b: int) -> "SwarmState":
-        """School b of a batched state, in arrays of its own."""
-        return SwarmState(self.time, self.positions[b].copy(), self.velocities[b].copy())
-
 
 @lru_cache(maxsize=16)
 def _inf_diagonal(n: int) -> np.ndarray:
@@ -211,8 +207,9 @@ def advance(state: SwarmState, arena: Arena, field: ScentField | None,
     sample_stride > 0, else samples is empty.  Each school moves and draws
     as in n_steps calls to step() on it alone.
     """
-    samples = [[state.school(b)] for b in range(len(rngs))] if sample_stride > 0 else []
     t, pos, vel = state.time, state.positions, state.velocities
+    samples = ([[SwarmState(t, pos[b].copy(), vel[b].copy())] for b in range(len(rngs))]
+               if sample_stride > 0 else [])
     for k in range(n_steps):
         if k % NOISE_BLOCK == 0:
             size = (min(NOISE_BLOCK, n_steps - k),) + pos.shape[1:]

@@ -21,7 +21,6 @@ from .geometry import Arena, AxisRect, Vec2, contains_many
 from .scent import DEFAULT_SPACING, FoodSpec, ScentField, _check_food_in_fluid, solve_field
 from .dynamics import ForceBlowUpError, ModelParams, SwarmState, advance
 from .metrics import (
-    DEFAULT_COMPONENT_DELTA,
     Classifier,
     OutcomeState,
     classify,
@@ -158,7 +157,6 @@ def initial_state(config: TrialConfig, rng: np.random.Generator) -> SwarmState:
 
 def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
                spacing: float = DEFAULT_SPACING,
-               component_delta: float = DEFAULT_COMPONENT_DELTA,
                traj_stride: int = 0) -> list[TrialOutcome]:
     """Run one trial of config per seed (config.seed is ignored), all stepped
     as one batch.  Each outcome equals that of its trial run alone; its
@@ -179,25 +177,23 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     except ForceBlowUpError as e:  # name the seeds, which replay with `run --seed`
         raise ForceBlowUpError(f"trial seed(s) {[seeds[b] for b in e.schools]}: {e}") from e
     wall_clock = time.perf_counter() - started
-    finals = [state.school(b) for b in range(len(seeds))]
-    return [TrialOutcome(classify(s, config.classifier), school_center(s),
-                         connected_components(s, component_delta), wall_clock,
+    ends = zip(classify(state, config.classifier), school_center(state).tolist(),
+               connected_components(state, config.classifier.component_delta).tolist())
+    return [TrialOutcome(outcome, Vec2(*center), components, wall_clock,
                          samples[b] if traj_stride > 0 else None)
-            for b, s in enumerate(finals)]
+            for b, (outcome, center, components) in enumerate(ends)]
 
 
 def run_trial(config: TrialConfig, field: ScentField | None = None, *,
               spacing: float = DEFAULT_SPACING,
-              component_delta: float = DEFAULT_COMPONENT_DELTA,
               traj_stride: int = 0) -> TrialOutcome:
     """Run the trial seeded by config.seed: run_trials on a batch of one."""
     return run_trials(config, [config.seed], field, spacing=spacing,
-                      component_delta=component_delta, traj_stride=traj_stride)[0]
+                      traj_stride=traj_stride)[0]
 
 
 def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
               parallelism: int = 1, *, spacing: float = DEFAULT_SPACING,
-              component_delta: float = DEFAULT_COMPONENT_DELTA,
               field: ScentField | None = None) -> ExperimentResult:
     """Run `trials` trials at every school size in n_values.
 
@@ -212,8 +208,6 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if not (np.isfinite(component_delta) and component_delta > 0):
-        raise ValueError(f"component_delta must be positive and finite, got {component_delta}")
     if field is None:
         field = solve_field(base.arena, base.food, spacing)
     n_shards = min(trials, max(parallelism, -(-trials // SHARD_TRIALS)))
@@ -221,7 +215,7 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
     configs = [replace(base, n_fish=n) for n in n_values for _ in blocks]
     seeds = [[trial_seed(base_seed, n, j) for j in block.tolist()]
              for n in n_values for block in blocks]
-    run = partial(run_trials, field=field, component_delta=component_delta)
+    run = partial(run_trials, field=field)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             shards = list(pool.map(run, configs, seeds))

@@ -165,7 +165,42 @@ def test_sweep_rejects_bad_component_delta(tmp_path, capsys, delta):
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--n-min", "2", "--n-max", "2", "--trials", "1",
                  "--seed", "9", f"--component-delta={delta}"]) == 1
-    assert "--component-delta must be positive and finite" in capsys.readouterr().err
+    assert "Classifier.component_delta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_component_delta_flag_is_the_classifier_key_and_wins_over_set(tmp_path):
+    cfg = write_cfg(tmp_path)
+    runs = {}
+    for name, extra in (("flag", ["--set", "classifier.component_delta=0.05",
+                                  "--set", 'classifier={"kind": "min-x-threshold", '
+                                           '"right_threshold": 2.5}',
+                                  "--component-delta", "10"]),
+                        ("set", ["--set", "classifier.component_delta=10"])):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--n-min", "4", "--n-max", "4", "--trials", "2",
+                     "--seed", "9", "--per-trial", *extra]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["resolved_config"]["classifier"]["component_delta"] == 10
+        assert "component_delta" not in man["args"]
+        runs[name] = (out / "trials.csv").read_text()
+    # a 10-unit contact distance joins every fish of the 4x4 tank
+    assert [row.split(",")[-1] for row in runs["flag"].splitlines()[1:]] == ["1", "1"]
+    assert runs["flag"] == runs["set"]
+
+
+@pytest.mark.parametrize("payload", [
+    '{"builtin": "config2", "classifier": {"kind": "min-x-threshold", "right_threshold": NaN}}',
+    '{"builtin": "config2", "overrides": [1]}',
+])
+def test_bad_config_exits_1_and_writes_nothing(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(payload)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--n-min", "2", "--n-max", "2", "--trials", "1", "--seed", "9"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}")
     assert not out.exists()
 
 

@@ -137,9 +137,10 @@ def assert_keys_are_fields(d, obj, path="config"):
 
 @pytest.mark.parametrize("classifier", [
     Classifier("center-distance", food_center=Vec2(6.0, 0.5), success_radius=0.75,
-               left_threshold=1.0, right_threshold=4.0),
-    Classifier("min-x-threshold", right_threshold=3.0),
-    Classifier("band-three-state", left_threshold=1.5, right_threshold=5.5),
+               left_threshold=1.0, right_threshold=4.0, component_delta=0.45),
+    Classifier("min-x-threshold", right_threshold=3.0, component_delta=0.2),
+    Classifier("band-three-state", left_threshold=1.5, right_threshold=5.5,
+               component_delta=1.5),
 ])
 def test_every_field_round_trips(classifier):
     trial = every_field_config(classifier)
@@ -274,6 +275,21 @@ def test_semantic_validation_flows_through(tmp_path):
         load(tmp_path, {"builtin": "config2",
                         "overrides": {"food.center.x": 2.25, "food.center.y": 3.0}})
     assert "obstacle" in str(err.value)
+
+
+def test_non_finite_classifier_threshold_is_a_config_error(tmp_path):
+    path = tmp_path / "nan.json"  # Python's JSON reader accepts NaN
+    path.write_text('{"builtin": "config2",\n'
+                    ' "classifier": {"kind": "min-x-threshold", "right_threshold": NaN}}')
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value).startswith(f"{path}:2: classifier: ")
+    assert "right_threshold must be finite, got nan" in str(err.value)
+
+
+def test_overrides_must_be_an_object():
+    with pytest.raises(ConfigError, match="overrides: expected an object, got list"):
+        parse_config_dict({"builtin": "config2", "overrides": [1]})
 
 
 # -------------------------------------------------------------------- helpers

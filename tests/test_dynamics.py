@@ -45,11 +45,16 @@ def batch(*states):
                       np.stack([s.velocities for s in states]))
 
 
+def school_of(state, b):
+    """School b of a (B, N, 2) batch."""
+    return SwarmState(state.time, state.positions[b], state.velocities[b])
+
+
 def advance_one(state, arena, field, params, rng, n_steps, sample_stride=0):
     """advance() on a batch of one, unpacked back to one school."""
     final, samples = advance(batch(state), arena, field, params, [rng], n_steps,
                              sample_stride)
-    return final.school(0), samples[0] if samples else []
+    return school_of(final, 0), samples[0] if samples else []
 
 
 # ------------------------------------------------------------------ contracts
@@ -353,7 +358,7 @@ def test_batched_advance_equals_each_school_alone(config2, field_config2,
                                          n_steps, sample_stride=stride)
         got = samples[k]
         assert len(got) == len(want_samples)
-        for g, w in zip(got + [final.school(k)], want_samples + [want]):
+        for g, w in zip(got + [school_of(final, k)], want_samples + [want]):
             assert g.time == w.time
             np.testing.assert_array_equal(g.positions, w.positions)
             np.testing.assert_array_equal(g.velocities, w.velocities)

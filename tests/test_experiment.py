@@ -274,8 +274,11 @@ def test_sweep_rejects_bad_component_delta(monkeypatch, delta):
         raise AssertionError("a trial ran before component_delta was checked")
 
     monkeypatch.setattr("schoolsim.experiment.run_trials", no_trials)
-    with pytest.raises(ValueError, match="component_delta"):
-        run_sweep(base, [2], trials=1, base_seed=1, component_delta=delta, field=field)
+    with pytest.raises(ValueError,
+                       match="Classifier.component_delta must be positive and finite"):
+        run_sweep(dataclasses.replace(base, classifier=dataclasses.replace(
+            base.classifier, component_delta=delta)), [2], trials=1, base_seed=1,
+            field=field)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
