@@ -26,17 +26,17 @@ from pathlib import Path
 import numpy
 import scipy
 
-from . import __version__
+from . import __version__, tables
 from .config import ConfigError, RunSpec, config_to_dict, parse_config
-from .experiment import (RESULTS_CSV_HEADER, TRAJECTORY_CSV_HEADER,
-                         run_sweep, run_trial, read_results_csv,
+from .experiment import (run_sweep, run_trial, read_results_csv,
                          read_trajectory_csv, write_results_csv,
                          write_trials_csv, write_trajectory_csv)
 from .plots import render_heatmap, render_success_curve, render_trajectories
-from .scent import (FIELD_CSV_HEADER, read_field_csv, solve_field,
-                    write_field_csv)
+from .scent import read_field_csv, solve_field, write_field_csv
 
 DEFAULT_TRAJ_STRIDE = 10
+PLOT_FILES = {"field": "heatmap.svg", "results": "probability.svg",
+              "trajectory": "trajectories.svg"}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -211,15 +211,12 @@ def cmd_sweep(args) -> int:
 
 def _sniff_csv(path) -> str:
     try:
-        with open(path) as fh:
-            header = fh.readline().strip()
+        kind = tables.kind_of(path)
     except OSError as e:
         raise ConfigError(f"{path}: {e.strerror or e}") from e
-    for kind, cols in (("field", FIELD_CSV_HEADER), ("results", RESULTS_CSV_HEADER),
-                       ("trajectory", TRAJECTORY_CSV_HEADER)):
-        if header.split(",") == cols:
-            return kind
-    raise ConfigError(f"{path}: unrecognized CSV header {header!r}")
+    if kind not in PLOT_FILES:
+        raise ConfigError(f"{path}: not a field, results or trajectory CSV")
+    return kind
 
 
 def cmd_plot(args) -> int:
@@ -238,9 +235,7 @@ def cmd_plot(args) -> int:
         if not instants:
             raise ConfigError("--instants needs at least one time")
 
-    name = {"field": "heatmap.svg", "results": "probability.svg",
-            "trajectory": "trajectories.svg"}[kind]
-    out, (svg_path, man_path) = _prepare_out(args, [name, "manifest.json"])
+    out, (svg_path, man_path) = _prepare_out(args, [PLOT_FILES[kind], "manifest.json"])
 
     if kind == "field":
         text = render_heatmap(read_field_csv(args.input))

@@ -8,7 +8,6 @@ results are reproducible regardless of execution order, worker count or
 batch size: the trials of a shard are stepped together as one batch.
 """
 
-import csv
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from . import tables
 from .geometry import Arena, AxisRect, Vec2, contains_many
 from .scent import DEFAULT_SPACING, FoodSpec, ScentField, _check_food_in_fluid, solve_field
 from .dynamics import ForceBlowUpError, ModelParams, SwarmState, advance
@@ -27,12 +27,6 @@ from .metrics import (
     connected_components,
     school_center,
 )
-
-RESULTS_CSV_HEADER = ["N", "trials", "failure_count", "presuccess_count",
-                      "success_count", "success_probability"]
-TRIALS_CSV_HEADER = ["N", "trial_index", "seed", "outcome",
-                     "final_center_x", "final_center_y", "components"]
-TRAJECTORY_CSV_HEADER = ["t", "particle_id", "x", "y", "vx", "vy"]
 
 _M64 = (1 << 64) - 1
 # A sweep steps at most this many trials together in one batch.
@@ -249,14 +243,12 @@ def builtin_config(name: str) -> TrialConfig:
     * ``config3``: 7x4 tank with the hanging baffle plus a standing block
       further right; three-state outcome on x-extent thresholds 2 and 5.
     """
-    shared = dict(attraction=1.0, alignment=1.0, avoidance=1.0, p=3.0, q=5.0,
-                  P=3.0, Q=5.0, r=0.1, R=0.2, noise=0.001, vmax=0.8, dt=0.01)
     if name in ("config1-left", "config1-right"):
         food_center = Vec2(1.5, 0.1) if name == "config1-left" else Vec2(5.5, 0.1)
         return TrialConfig(
             arena=Arena(AxisRect(Vec2(0.0, 0.0), Vec2(7.0, 4.0))),
             food=FoodSpec(center=food_center),
-            params=ModelParams(sensitivity=0.5, **shared),
+            params=ModelParams(sensitivity=0.5),
             n_fish=10,
             horizon=120.0,
             init_region=AxisRect(Vec2(0.0, 3.5), Vec2(2.0, 4.0)),
@@ -268,7 +260,7 @@ def builtin_config(name: str) -> TrialConfig:
             arena=Arena(AxisRect(Vec2(0.0, 0.0), Vec2(4.0, 4.0)),
                         (AxisRect(Vec2(2.0, 2.5), Vec2(2.5, 4.0)),)),
             food=FoodSpec(center=Vec2(3.5, 0.1)),
-            params=ModelParams(sensitivity=2.0, **shared),
+            params=ModelParams(sensitivity=2.0),
             n_fish=10,
             horizon=60.0,
             init_region=AxisRect(Vec2(1.0, 3.5), Vec2(2.0, 4.0)),
@@ -280,7 +272,7 @@ def builtin_config(name: str) -> TrialConfig:
                         (AxisRect(Vec2(2.0, 2.5), Vec2(2.5, 4.0)),
                          AxisRect(Vec2(4.5, 0.0), Vec2(5.0, 1.5)))),
             food=FoodSpec(center=Vec2(6.0, 0.1)),
-            params=ModelParams(sensitivity=2.0, **shared),
+            params=ModelParams(sensitivity=2.0),
             n_fish=10,
             horizon=200.0,
             init_region=AxisRect(Vec2(1.0, 3.5), Vec2(2.0, 4.0)),
@@ -295,65 +287,39 @@ def builtin_config(name: str) -> TrialConfig:
 
 def write_results_csv(result: ExperimentResult, path):
     """One row per school size with outcome counts."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(RESULTS_CSV_HEADER)
-        for pt in result.points:
-            out.writerow([pt.n_fish, pt.trials, pt.failure_count, pt.presuccess_count,
-                          pt.success_count, repr(pt.success_probability)])
+    tables.write(path, "results", [zip(*(
+        (pt.n_fish, pt.trials, pt.failure_count, pt.presuccess_count, pt.success_count,
+         pt.success_probability) for pt in result.points))])
 
 
 def read_results_csv(path) -> ExperimentResult:
     """Rebuild sweep points (without per-trial records) from a results CSV."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != RESULTS_CSV_HEADER:
-            raise ValueError(f"not a results CSV (header {header})")
-        points = [SweepPoint(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]))
-                  for r in rd]
-    return ExperimentResult(points=points, records=[])
+    cells = tables.read(path, "results")[:, :5]
+    if (cells != cells.astype(int)).any():
+        raise ValueError("results CSV counts must be integers")
+    return ExperimentResult(points=[SweepPoint(*row) for row in cells.astype(int).tolist()],
+                            records=[])
 
 
 def write_trials_csv(result: ExperimentResult, path):
     """One row per trial with its seed and endpoint summary."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(TRIALS_CSV_HEADER)
-        for rec in result.records:
-            out.writerow([rec.n_fish, rec.trial_index, rec.seed, rec.outcome.value,
-                          repr(rec.final_center.x), repr(rec.final_center.y),
-                          rec.components])
+    tables.write(path, "trials", [zip(*(
+        (rec.n_fish, rec.trial_index, rec.seed, rec.outcome.value, rec.final_center.x,
+         rec.final_center.y, rec.components) for rec in result.records))])
 
 
 def write_trajectory_csv(samples, path):
     """Sampled states as one row per (time, fish)."""
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(TRAJECTORY_CSV_HEADER)
-        # csv writes a float as its repr(), the text each field has always had.
-        for state in samples:
-            t = float(state.time)
-            out.writerows([t, i, *p, *v] for i, (p, v) in enumerate(
-                zip(state.positions.tolist(), state.velocities.tolist())))
+    tables.write(path, "trajectory", (
+        (np.full(s.n_fish, float(s.time)), np.arange(s.n_fish), *s.positions.T,
+         *s.velocities.T) for s in samples))
 
 
 def read_trajectory_csv(path):
-    """Rebuild sampled states from a trajectory CSV."""
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != TRAJECTORY_CSV_HEADER:
-            raise ValueError(f"not a trajectory CSV (header {header})")
-        frames = {}
-        for r in rd:
-            t = float(r[0])
-            frames.setdefault(t, []).append((int(r[1]), float(r[2]), float(r[3]),
-                                             float(r[4]), float(r[5])))
-    samples = []
-    for t in sorted(frames):
-        rows = sorted(frames[t])
-        pos = np.array([[x, y] for _, x, y, _, _ in rows])
-        vel = np.array([[vx, vy] for _, _, _, vx, vy in rows])
-        samples.append(SwarmState(t, pos, vel))
-    return samples
+    """Rebuild sampled states from a trajectory CSV, whose rows may come in
+    any order."""
+    rows = tables.read(path, "trajectory")
+    rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    times, starts = np.unique(rows[:, 0], return_index=True)
+    return [SwarmState(t, frame[:, 2:4].copy(), frame[:, 4:].copy())
+            for t, frame in zip(times.tolist(), np.split(rows, starts[1:]))]

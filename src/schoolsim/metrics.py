@@ -72,12 +72,14 @@ class Classifier:
 
 
 def school_center(state: SwarmState) -> np.ndarray:
-    """Mean position of each school, shape (..., 2)."""
+    """Mean position of each school: shape (2,) for an (N, 2) state, (B, 2)
+    for a (B, N, 2) batch."""
     return state.positions.mean(axis=-2)
 
 
 def connected_components(state: SwarmState, delta: float = DEFAULT_COMPONENT_DELTA) -> np.ndarray:
-    """Number of components of each school's proximity graph, shape (...).
+    """Number of components of each school's proximity graph: a 0-d array
+    for an (N, 2) state, shape (B,) for a (B, N, 2) batch.
 
     Fish are adjacent when their distance is strictly below delta.  All
     schools go through one graph with a block per school, so no component
@@ -96,7 +98,7 @@ def connected_components(state: SwarmState, delta: float = DEFAULT_COMPONENT_DEL
 
 def classify(state: SwarmState, classifier: Classifier) -> OutcomeState | np.ndarray:
     """Apply the endpoint outcome rule to each school: an OutcomeState for
-    an (N, 2) state, an object array of them for a batch."""
+    an (N, 2) state, a (B,) object array of them for a (B, N, 2) batch."""
     if classifier.kind == "center-distance":
         offset = school_center(state) - [classifier.food_center.x, classifier.food_center.y]
         success = np.hypot(offset[..., 0], offset[..., 1]) < classifier.success_radius

@@ -98,26 +98,35 @@ def render_heatmap(field: ScentField, px_width=840) -> str:
     scale_px = (px_width - 2 * MARGIN_PX) / (nx * field.spacing)
     height = 2 * MARGIN_PX + ny * field.spacing * scale_px
 
+    # Each block's value sum and fluid count.  The sub-grids are added in
+    # row-major order, the order in which numpy sums a block's fluid cells
+    # for their mean when there are fewer than 8 of them, as at factor 1 or 2.
+    pad = ((0, bx * factor - nx), (0, by * factor - ny))
+    vals, fluid = np.pad(vals, pad), np.pad(field.fluid, pad)
+    sums = np.zeros((bx, by))
+    counts = np.zeros((bx, by), dtype=int)
+    for di, dj in np.ndindex(factor, factor):
+        sums += vals[di::factor, dj::factor]
+        counts += fluid[di::factor, dj::factor]
+
     parts = []
     _svg_open(px_width, height, parts)
-    for bi in range(bx):
+    for (bi, bj), count in np.ndenumerate(counts):
         i0, i1 = bi * factor, min((bi + 1) * factor, nx)
-        for bj in range(by):
-            j0, j1 = bj * factor, min((bj + 1) * factor, ny)
-            flu = field.fluid[i0:i1, j0:j1]
-            if flu.any():
-                mean = float(vals[i0:i1, j0:j1][flu].mean())
-                t = (mean / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
-                fill = ramp_color(t)
-                cls = ' class="hm"'
-            else:
-                fill = SOLID_COLOR
-                cls = ' class="solid"'
-            px = MARGIN_PX + i0 * field.spacing * scale_px
-            py = MARGIN_PX + (ny - j1) * field.spacing * scale_px
-            w = (i1 - i0) * field.spacing * scale_px
-            h = (j1 - j0) * field.spacing * scale_px
-            parts.append(_rect_el(px, py, w, h, fill, cls))
+        j0, j1 = bj * factor, min((bj + 1) * factor, ny)
+        if count:
+            mean = float(sums[bi, bj] / count)
+            t = (mean / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
+            fill = ramp_color(t)
+            cls = ' class="hm"'
+        else:
+            fill = SOLID_COLOR
+            cls = ' class="solid"'
+        px = MARGIN_PX + i0 * field.spacing * scale_px
+        py = MARGIN_PX + (ny - j1) * field.spacing * scale_px
+        w = (i1 - i0) * field.spacing * scale_px
+        h = (j1 - j0) * field.spacing * scale_px
+        parts.append(_rect_el(px, py, w, h, fill, cls))
 
     # outline any obstacles and mark the source region
     ox, oy = field.origin

@@ -11,7 +11,6 @@ The source f is ``food.density`` inside the food disc and 0 elsewhere,
 sampled at cell centers.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import cg
 
+from . import tables
 from .geometry import Arena, Vec2, contains_many
 
 DEFAULT_SPACING = 0.02
@@ -27,8 +27,6 @@ GRID_TOL = 1e-9
 # Residual the solver aims for, and the level it must reach not to error.
 TARGET_RTOL = 1e-12
 CONTRACT_RTOL = 1e-8
-
-FIELD_CSV_HEADER = ["cell_i", "cell_j", "x_center", "y_center", "fluid_flag", "U", "dUdx", "dUdy"]
 
 
 class GridError(ValueError):
@@ -310,51 +308,43 @@ def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
 
 
 def write_field_csv(field: ScentField, path):
-    """Write the field as one CSV row per grid cell."""
+    """Write the field as one CSV row per grid cell, one grid row at a time."""
     xs, ys = field.cell_centers()
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(FIELD_CSV_HEADER)
-        for i in range(field.nx):
-            for j in range(field.ny):
-                out.writerow([
-                    i, j, float(xs[i]), float(ys[j]), int(field.fluid[i, j]),
-                    float(field.values[i, j]),
-                    float(field.grad[i, j, 0]), float(field.grad[i, j, 1]),
-                ])
+    j = np.arange(field.ny)
+    tables.write(path, "field", (
+        (np.full(field.ny, i), j, np.full(field.ny, x), ys, field.fluid[i].astype(np.int8),
+         field.values[i], *field.grad[i].T)
+        for i, x in enumerate(xs)))
 
 
 def read_field_csv(path) -> ScentField:
     """Rebuild a plottable field from a CSV written by write_field_csv.
 
-    The arena is not reconstructed (set to None); the fluid mask carries
-    the obstacle footprint.
+    The rows may come in any order.  The arena is not reconstructed (set
+    to None); the fluid mask carries the obstacle footprint.
     """
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd)
-        if header != FIELD_CSV_HEADER:
-            raise ValueError(f"not a field CSV (header {header})")
-        rows = [(int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4]),
-                 float(r[5]), float(r[6]), float(r[7])) for r in rd]
-    if not rows:
+    cells = tables.read(path, "field")
+    if not len(cells):
         raise ValueError("field CSV has no cells")
-    nx = max(r[0] for r in rows) + 1
-    ny = max(r[1] for r in rows) + 1
-    if len(rows) != nx * ny:
-        raise ValueError(f"field CSV is missing cells ({len(rows)} rows for {nx}x{ny} grid)")
+    ij = cells[:, :2].astype(int)
+    if (ij != cells[:, :2]).any() or (ij < 0).any():
+        raise ValueError("field CSV cell indices must be nonnegative integers")
+    i, j = ij.T
+    nx, ny = int(i.max()) + 1, int(j.max()) + 1
+    distinct = np.unique(i * ny + j).size
+    if len(cells) != nx * ny or distinct != nx * ny:
+        raise ValueError(f"field CSV is missing cells ({distinct} distinct cells in "
+                         f"{len(cells)} rows for {nx}x{ny} grid)")
     fluid = np.zeros((nx, ny), dtype=bool)
     values = np.zeros((nx, ny))
     grad = np.zeros((nx, ny, 2))
     xs = np.zeros(nx)
     ys = np.zeros(ny)
-    for i, j, xc, yc, fl, u, gx, gy in rows:
-        fluid[i, j] = bool(fl)
-        values[i, j] = u
-        grad[i, j, 0] = gx
-        grad[i, j, 1] = gy
-        xs[i] = xc
-        ys[j] = yc
+    fluid[i, j] = cells[:, 4] != 0
+    values[i, j] = cells[:, 5]
+    grad[i, j] = cells[:, 6:]
+    xs[i] = cells[:, 2]
+    ys[j] = cells[:, 3]
     h = xs[1] - xs[0] if nx > 1 else (ys[1] - ys[0] if ny > 1 else 1.0)
     origin = (xs[0] - h / 2, ys[0] - h / 2)
     return ScentField(arena=None, spacing=float(h), origin=origin, nx=nx, ny=ny,

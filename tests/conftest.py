@@ -4,12 +4,40 @@ Field solves are session-scoped because they are by far the most expensive
 setup step and every field is immutable once solved.
 """
 
-import pytest
+import os
 
+import numpy
+import pytest
+import scipy
+
+from schoolsim.cli import THREAD_VARS
 from schoolsim.experiment import builtin_config
 from schoolsim.scent import solve_field
 
 BUILTIN_NAMES = ("config1-left", "config1-right", "config2", "config3")
+
+
+def _blas_environment():
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    threads = " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS)
+    return f"{threads} cpus={cpus} numpy={numpy.__version__} scipy={scipy.__version__}"
+
+
+# The golden digest and the c07 numbers depend on it.  Read when pytest loads
+# this file, before collection imports perfbench/run.py, which sets the
+# thread variables (too late to change the loaded BLAS).
+BLAS_ENVIRONMENT = _blas_environment()
+
+
+def pytest_report_header(config):
+    return BLAS_ENVIRONMENT
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q leaves out the report header, so the log gets the line at its end.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(BLAS_ENVIRONMENT)
 
 
 @pytest.fixture(scope="session")

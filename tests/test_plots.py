@@ -8,10 +8,10 @@ import pytest
 from schoolsim.dynamics import SwarmState
 from schoolsim.experiment import SweepPoint, builtin_config
 from schoolsim.geometry import Arena, AxisRect, Vec2
-from schoolsim.plots import (MARGIN_PX, MAX_HEATMAP_CELLS, RAMP, WorldTransform,
-                             pick_instants, ramp_color, render_heatmap,
-                             render_success_curve, render_trajectories,
-                             write_svg)
+from schoolsim.plots import (HEAT_STRETCH, MARGIN_PX, MAX_HEATMAP_CELLS, RAMP,
+                             SOLID_COLOR, WorldTransform, pick_instants,
+                             ramp_color, render_heatmap, render_success_curve,
+                             render_trajectories, write_svg)
 
 HM_RE = re.compile(r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([\d.]+)" '
                    r'height="([\d.]+)" fill="#([0-9a-f]{6})" class="hm"/>')
@@ -63,6 +63,34 @@ def test_heatmap_block_budget(field_config1_left, field_config2):
     svg = render_heatmap(field_config2)
     assert len(HM_RE.findall(svg)) + svg.count('class="solid"') == MAX_HEATMAP_CELLS
     assert svg.count('class="solid"') == 25 * 75
+
+
+def reference_block_fills(field):
+    """Block colours from the per-block mean of the fluid cells, block by block."""
+    nx, ny = field.nx, field.ny
+    factor = 1
+    while (-(-nx // factor)) * (-(-ny // factor)) > MAX_HEATMAP_CELLS:
+        factor += 1
+    vals = np.where(field.fluid, field.values, 0.0)
+    vmax = float(vals.max())
+    fills = []
+    for i0 in range(0, nx, factor):
+        for j0 in range(0, ny, factor):
+            flu = field.fluid[i0:i0 + factor, j0:j0 + factor]
+            if flu.any():
+                mean = float(vals[i0:i0 + factor, j0:j0 + factor][flu].mean())
+                fills.append(ramp_color((mean / vmax) ** HEAT_STRETCH))
+            else:
+                fills.append(SOLID_COLOR)
+    return factor, fills
+
+
+def test_heatmap_block_colours_equal_per_block_means(field_config1_left, field_config2):
+    for field, want_factor in ((field_config2, 1), (field_config1_left, 2)):
+        factor, fills = reference_block_fills(field)
+        assert factor == want_factor
+        svg = render_heatmap(field)
+        assert re.findall(r'fill="(#[0-9a-f]{6})" class="(?:hm|solid)"', svg) == fills
 
 
 def test_heatmap_marks_obstacles_and_food(field_config2):

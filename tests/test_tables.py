@@ -1,0 +1,245 @@
+"""CSV outputs: writer bytes against per-row reference formatters, readers
+that accept rows in any order, and the errors a malformed file raises."""
+
+import csv
+import random
+
+import numpy as np
+import pytest
+
+from schoolsim.cli import main
+from schoolsim.dynamics import SwarmState
+from schoolsim.experiment import (ExperimentResult, SweepPoint, TrialRecord,
+                                  read_results_csv, read_trajectory_csv,
+                                  write_results_csv, write_trajectory_csv,
+                                  write_trials_csv)
+from schoolsim.geometry import Arena, AxisRect, Vec2
+from schoolsim.metrics import OutcomeState
+from schoolsim.scent import FoodSpec, read_field_csv, solve_field, write_field_csv
+
+# Floats whose repr() takes every form: exponents both ways, -0.0, a
+# subnormal, and sums that are not the shortest decimal of their terms.
+AWKWARD = [0.1 + 0.2, -0.0, 1e-05, 1e16, 5e-324, -1.7976931348623157e308,
+           2.5, 1 / 3, -123456.789e-12]
+
+
+# ------------------------------------------------------ reference formatters
+# The per-row loops that wrote each kind before the columns were written as
+# arrays.  The writers must produce their bytes exactly.
+
+def reference_field_csv(field, path):
+    xs, ys = field.cell_centers()
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["cell_i", "cell_j", "x_center", "y_center", "fluid_flag",
+                      "U", "dUdx", "dUdy"])
+        for i in range(field.nx):
+            for j in range(field.ny):
+                out.writerow([
+                    i, j, float(xs[i]), float(ys[j]), int(field.fluid[i, j]),
+                    float(field.values[i, j]),
+                    float(field.grad[i, j, 0]), float(field.grad[i, j, 1]),
+                ])
+
+
+def reference_results_csv(result, path):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["N", "trials", "failure_count", "presuccess_count",
+                      "success_count", "success_probability"])
+        for pt in result.points:
+            out.writerow([pt.n_fish, pt.trials, pt.failure_count, pt.presuccess_count,
+                          pt.success_count, repr(pt.success_probability)])
+
+
+def reference_trials_csv(result, path):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["N", "trial_index", "seed", "outcome",
+                      "final_center_x", "final_center_y", "components"])
+        for rec in result.records:
+            out.writerow([rec.n_fish, rec.trial_index, rec.seed, rec.outcome.value,
+                          repr(rec.final_center.x), repr(rec.final_center.y),
+                          rec.components])
+
+
+def reference_trajectory_csv(samples, path):
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["t", "particle_id", "x", "y", "vx", "vy"])
+        for state in samples:
+            t = float(state.time)
+            for i in range(state.n_fish):
+                out.writerow([t, i, *state.positions[i].tolist(),
+                              *state.velocities[i].tolist()])
+
+
+# ------------------------------------------------------------------- inputs
+
+def solve_small(spacing):
+    """A 1 x 0.6 tank with a wall-hung block."""
+    arena = Arena(AxisRect(Vec2(0.0, 0.0), Vec2(1.0, 0.6)),
+                  (AxisRect(Vec2(0.4, 0.2), Vec2(0.6, 0.6)),))
+    return solve_field(arena, FoodSpec(center=Vec2(0.8, 0.1), radius=0.1), spacing)
+
+
+@pytest.fixture(scope="module", params=[0.05, 0.025])
+def small_field(request):
+    return solve_small(request.param)
+
+
+def sweep_result():
+    points = [SweepPoint(2, 3, 1, 0, 2), SweepPoint(7, 3, 3, 0, 0),
+              SweepPoint(11, 7, 1, 2, 4)]
+    seeds = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
+    records = [TrialRecord(n, k, seed, outcome, Vec2(x, y), comps)
+               for k, (seed, outcome, x, y, comps, n) in enumerate(zip(
+                   seeds, list(OutcomeState) * 2, AWKWARD, AWKWARD[::-1],
+                   [1, 2, 3, 1, 1, 4], [2, 2, 7, 7, 11, 11]))]
+    return ExperimentResult(points=points, records=records)
+
+
+def samples():
+    rng = np.random.default_rng(3)
+    states = []
+    for k in range(5):
+        pos = rng.standard_normal((4, 2)) * 10.0 ** rng.integers(-6, 6, (4, 2))
+        vel = rng.choice(AWKWARD, (4, 2))
+        states.append(SwarmState(k * 0.1, pos, vel))
+    return states
+
+
+# ----------------------------------------------------------------- bytes
+
+def test_field_csv_bytes_match_reference(tmp_path, small_field):
+    assert not small_field.fluid.all()
+    write_field_csv(small_field, tmp_path / "got.csv")
+    reference_field_csv(small_field, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("write, reference, data", [
+    (write_results_csv, reference_results_csv, sweep_result),
+    (write_trials_csv, reference_trials_csv, sweep_result),
+    (write_trajectory_csv, reference_trajectory_csv, samples),
+])
+def test_csv_bytes_match_reference(tmp_path, write, reference, data):
+    write(data(), tmp_path / "got.csv")
+    reference(data(), tmp_path / "want.csv")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    if write is write_trials_csv:
+        assert f",{2**64 - 1},".encode() in got and f",{2**63},".encode() in got
+
+
+def test_empty_results_and_trials_write_only_the_header(tmp_path):
+    empty = ExperimentResult(points=[], records=[])
+    for write, reference in ((write_results_csv, reference_results_csv),
+                             (write_trials_csv, reference_trials_csv)):
+        write(empty, tmp_path / "got.csv")
+        reference(empty, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+# ------------------------------------------------------------- row order
+
+def shuffle_rows(path, seed=0):
+    lines = path.read_text().splitlines(keepends=True)
+    body = lines[1:]
+    random.Random(seed).shuffle(body)
+    path.write_text("".join(lines[:1] + body))
+
+
+def test_field_csv_reads_back_in_any_row_order(tmp_path, small_field):
+    path = tmp_path / "field.csv"
+    write_field_csv(small_field, path)
+    want = read_field_csv(path)
+    shuffle_rows(path)
+    got = read_field_csv(path)
+    assert (got.nx, got.ny, got.spacing, got.origin) == (want.nx, want.ny, want.spacing,
+                                                         want.origin)
+    for name in ("fluid", "values", "grad"):
+        assert getattr(got, name).tobytes() == getattr(small_field, name).tobytes()
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_trajectory_csv_reads_back_in_any_row_order(tmp_path):
+    path = tmp_path / "traj.csv"
+    states = samples()
+    write_trajectory_csv(states, path)
+    shuffle_rows(path)
+    back = read_trajectory_csv(path)
+    assert [s.time for s in back] == [s.time for s in states]
+    for got, want in zip(back, states):
+        assert got.positions.view(np.int64).tolist() == want.positions.view(np.int64).tolist()
+        assert got.velocities.view(np.int64).tolist() == want.velocities.view(np.int64).tolist()
+
+
+# ----------------------------------------------------------------- errors
+
+@pytest.fixture
+def one_of_each(tmp_path):
+    """A file of every kind, by kind."""
+    files = {kind: tmp_path / f"{kind}.csv" for kind in ("field", "results", "trials",
+                                                         "trajectory")}
+    write_field_csv(solve_small(0.05), files["field"])
+    write_results_csv(sweep_result(), files["results"])
+    write_trials_csv(sweep_result(), files["trials"])
+    write_trajectory_csv(samples(), files["trajectory"])
+    return files
+
+
+READERS = {"field": read_field_csv, "results": read_results_csv,
+           "trajectory": read_trajectory_csv}
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_readers_reject_other_kinds_and_empty_files(tmp_path, one_of_each, kind):
+    for other, path in one_of_each.items():
+        if other != kind:
+            with pytest.raises(ValueError, match=f"not a {kind} CSV"):
+                READERS[kind](path)
+    (tmp_path / "empty.csv").write_text("")
+    with pytest.raises(ValueError):
+        READERS[kind](tmp_path / "empty.csv")
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_readers_reject_a_row_with_a_missing_cell(one_of_each, kind):
+    path = one_of_each[kind]
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="without"):
+        READERS[kind](path)
+
+
+def test_field_csv_rejects_missing_rows_and_no_rows(one_of_each):
+    path = one_of_each["field"]
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:5] + lines[6:]))
+    with pytest.raises(ValueError, match="missing cells"):
+        read_field_csv(path)
+    # a repeated row in place of a missing one keeps the row count
+    path.write_text("".join(lines[:5] + lines[4:5] + lines[6:]))
+    with pytest.raises(ValueError, match="missing cells"):
+        read_field_csv(path)
+    path.write_text(lines[0])
+    with pytest.raises(ValueError, match="no cells"):
+        read_field_csv(path)
+
+
+def test_readers_reject_non_integer_indices_and_counts(one_of_each):
+    for kind, line in (("field", "0.5,0,"), ("field", "-1,0,"), ("results", "2.5,")):
+        path = one_of_each[kind]
+        lines = path.read_text().splitlines()
+        lines[1] = line + lines[1].split(",", 2 if kind == "field" else 1)[-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="integers"):
+            READERS[kind](path)
+
+
+def test_plot_refuses_a_trials_csv(tmp_path, one_of_each):
+    out = tmp_path / "plot"
+    assert main(["plot", "--input", str(one_of_each["trials"]), "--out", str(out)]) == 1
+    assert not out.exists() or not any(out.iterdir())
