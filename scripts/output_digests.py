@@ -1,0 +1,78 @@
+"""Write the SHA-256 of a fixed set of schoolsim CLI outputs to one JSON file.
+
+    OPENBLAS_NUM_THREADS=1 python3 scripts/output_digests.py OUT.json
+
+Run from any directory; schoolsim is imported from the ``src/`` next to
+this script.  Each CLI command runs in-process into a temporary directory,
+and every file it writes except ``manifest.json`` (which holds paths) is
+hashed.  The JSON also records the BLAS thread variables, because the CG
+solve, and with it every field and trajectory, rounds differently with
+another thread count.  Two checkouts wrote the same bytes when their JSON
+files are identical, so comparing a change with its parent is two runs
+under the same thread variables and a ``diff``.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from schoolsim import cli  # noqa: E402
+
+BUILTINS = ("config1-left", "config1-right", "config2", "config3")
+
+# (label, builtin, CLI arguments after --config and --out)
+CASES = (
+    [(f"solve-field {name}", name, ["solve-field"]) for name in BUILTINS]
+    + [("solve-field config2 spacing=0.01", "config2",
+        ["solve-field", "--spacing", "0.01"])]
+    + [(f"run {name} seed=1234 horizon=30", name,
+        ["run", "--seed", "1234", "--set", "horizon=30"])
+       for name in ("config2", "config3")]
+    + [("sweep config2 N=2-4 trials=6", "config2",
+        ["sweep", "--n-min", "2", "--n-max", "4", "--trials", "6",
+         "--seed", "1234", "--per-trial"]),
+       ("sweep config3 N=2-3 trials=4 horizon=40", "config3",
+        ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "4",
+         "--seed", "1234", "--per-trial", "--set", "horizon=40"])]
+)
+
+
+def digest_case(tmp: Path, builtin: str, argv: list) -> dict:
+    """Run one CLI command and hash each output file but the manifest."""
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps({"builtin": builtin}))
+    out = tmp / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli.main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+    if status != 0:
+        raise SystemExit(f"schoolsim {' '.join(argv)} exited with {status}")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", metavar="OUT.json", help="where to write the digests")
+    args = parser.parse_args(argv)
+    doc = {"thread_env": {var: os.environ.get(var) for var in cli.THREAD_VARS},
+           "outputs": {}}
+    for label, builtin, cli_args in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            doc["outputs"][label] = digest_case(Path(tmp), builtin, cli_args)
+        print(label, flush=True)
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

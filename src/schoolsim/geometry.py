@@ -10,6 +10,7 @@ slab method face by face.
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +66,20 @@ class AxisRect:
         )
 
 
+class _Table(NamedTuple):
+    """Arena._table: the tank and obstacles as corners, and the fluid-side
+    faces as parallel arrays for the ray cast."""
+
+    box: np.ndarray      # (2, 2): the tank's [lo, hi] corners, each (x, y)
+    obs: np.ndarray      # (K, 2, 2): each obstacle's corners, the same way
+    cols: np.ndarray     # (2, F): each face's constant axis, then the other
+    coords: np.ndarray   # (F,): the face planes
+    lo: np.ndarray       # (F,): the spans along the other axis, widened by
+    hi: np.ndarray       # (F,):   RAY_TOL at both ends
+    rank: np.ndarray     # (2, F): tie-break rank preferring x (row 0) or y faces
+    normals: np.ndarray  # (F + 1, 2): unit normals; the last, "no hit", is zero
+
+
 @dataclass
 class Arena:
     """Rectangular tank minus zero or more rectangular obstacles.
@@ -94,101 +109,49 @@ class Arena:
                     raise ValueError(f"obstacles {i} and {j} overlap")
 
     @cached_property
-    def _faces(self):
-        """Boundary faces as parallel arrays (axis, coord, span, normal sign).
+    def _table(self) -> _Table:
+        """The arena as arrays, the only form the kernels read.
 
-        ``axis`` is the axis along which the face is constant (0 = a
-        vertical face with a +-x normal, 1 = horizontal).  Obstacle faces
-        that lie on the outer wall are dropped, and the wall spans they
-        cover are cut out, so only fluid-side boundary remains.
+        Faces are listed in a fixed order: the walls left, right, bottom and
+        top, each minus the spans that obstacles flush with it cover, then
+        each obstacle's x-lo, x-hi, y-lo and y-hi faces that are not flush
+        with a wall.  Ray-cast ties go to the lowest face, so every
+        trajectory depends on this order.
         """
         b = self.bounds
-        axes, coords, s_lo, s_hi, signs = [], [], [], [], []
-
-        def wall(axis, coord, lo, hi, sign, cut_intervals):
-            # Subtract obstacle contact intervals from a wall span.
-            pieces = [(lo, hi)]
-            for c_lo, c_hi in cut_intervals:
-                nxt = []
-                for a, b_ in pieces:
-                    if c_hi <= a + COINCIDE_TOL or c_lo >= b_ - COINCIDE_TOL:
-                        nxt.append((a, b_))
-                        continue
-                    if c_lo > a + COINCIDE_TOL:
-                        nxt.append((a, c_lo))
-                    if c_hi < b_ - COINCIDE_TOL:
-                        nxt.append((c_hi, b_))
-                pieces = nxt
-            for a, b_ in pieces:
-                axes.append(axis)
-                coords.append(coord)
-                s_lo.append(a)
-                s_hi.append(b_)
-                signs.append(sign)
-
-        def touches(a, b_):
-            return abs(a - b_) <= COINCIDE_TOL
-
-        obs = self.obstacles
-        wall(0, b.lo.x, b.lo.y, b.hi.y, +1.0,
-             [(o.lo.y, o.hi.y) for o in obs if touches(o.lo.x, b.lo.x)])
-        wall(0, b.hi.x, b.lo.y, b.hi.y, -1.0,
-             [(o.lo.y, o.hi.y) for o in obs if touches(o.hi.x, b.hi.x)])
-        wall(1, b.lo.y, b.lo.x, b.hi.x, +1.0,
-             [(o.lo.x, o.hi.x) for o in obs if touches(o.lo.y, b.lo.y)])
-        wall(1, b.hi.y, b.lo.x, b.hi.x, -1.0,
-             [(o.lo.x, o.hi.x) for o in obs if touches(o.hi.y, b.hi.y)])
-
-        for o in obs:
-            # Normals point away from the obstacle, into the fluid.  A face
-            # flush with the outer wall is not a reflective face at all.
-            if not touches(o.lo.x, b.lo.x):
-                axes.append(0); coords.append(o.lo.x)
-                s_lo.append(o.lo.y); s_hi.append(o.hi.y); signs.append(-1.0)
-            if not touches(o.hi.x, b.hi.x):
-                axes.append(0); coords.append(o.hi.x)
-                s_lo.append(o.lo.y); s_hi.append(o.hi.y); signs.append(+1.0)
-            if not touches(o.lo.y, b.lo.y):
-                axes.append(1); coords.append(o.lo.y)
-                s_lo.append(o.lo.x); s_hi.append(o.hi.x); signs.append(-1.0)
-            if not touches(o.hi.y, b.hi.y):
-                axes.append(1); coords.append(o.hi.y)
-                s_lo.append(o.lo.x); s_hi.append(o.hi.x); signs.append(+1.0)
-
-        return (
-            np.array(axes, dtype=np.int64),
-            np.array(coords, dtype=float),
-            np.array(s_lo, dtype=float),
-            np.array(s_hi, dtype=float),
-            np.array(signs, dtype=float),
-        )
-
-    @cached_property
-    def _ray_table(self):
-        """Per-face tables for ray_hits_many, derived from _faces.
-
-        The (2, F) column index [axis, other axis]; the face coordinates
-        and spans widened by RAY_TOL; a (2, F) tie-break rank for rays that
-        prefer x faces (row 0) or y faces (row 1); and an (F + 1, 2) normals
-        table whose last row, the "no hit" face, is zero.
-        """
-        axes, coords, s_lo, s_hi, signs = self._faces
+        box = np.array([[b.lo.x, b.lo.y], [b.hi.x, b.hi.y]])
+        obs = np.array([[[o.lo.x, o.lo.y], [o.hi.x, o.hi.y]]
+                        for o in self.obstacles]).reshape(-1, 2, 2)
+        # A face is (axis, coord, span lo, span hi, normal sign): axis 0 is a
+        # vertical face with a +-x normal.  Face (axis, side) of a box lies at
+        # box[side, axis]; flush[k, side, axis] marks obstacle k's face on the
+        # wall there.
+        axis, side = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        flush = np.abs(obs - box) <= COINCIDE_TOL
+        faces = []
+        for a, s in zip(axis, side):
+            # A wall keeps the gaps between the spans of the obstacles flush
+            # with it, which are disjoint as obstacles do not overlap.  Its
+            # normal points into the tank.
+            cut = obs[flush[:, s, a], :, 1 - a]
+            cut = cut[np.argsort(cut[:, 0])]
+            gaps = np.column_stack((np.append(box[0, 1 - a], cut[:, 1]),
+                                    np.append(cut[:, 0], box[1, 1 - a])))
+            gaps = gaps[gaps[:, 1] - gaps[:, 0] > COINCIDE_TOL]
+            faces.append(np.column_stack(np.broadcast_arrays(
+                a, box[s, a], gaps[:, 0], gaps[:, 1], 1 - 2 * s)))
+        # Normals point away from the obstacle, into the fluid.
+        faces.append(np.stack(np.broadcast_arrays(
+            axis, obs[:, side, axis], obs[:, 0, 1 - axis], obs[:, 1, 1 - axis],
+            2 * side - 1), axis=-1)[~flush[:, side, axis]])
+        axes, coords, s_lo, s_hi, signs = np.concatenate(faces).T.copy()
+        axes = axes.astype(np.int64)
         n = axes.shape[0]
         rank = np.array([(axes != pref) * n + np.arange(n) for pref in (0, 1)])
         normals = np.zeros((n + 1, 2))
         normals[np.arange(n), axes] = signs
-        return (np.array([axes, 1 - axes]), coords, s_lo - RAY_TOL, s_hi + RAY_TOL,
-                rank, normals)
-
-    @cached_property
-    def _clamp_table(self):
-        """Bounds as arrays for clamp_many: (lo, hi) of the tank, shape (2,),
-        and of the obstacles, shape (K, 2)."""
-        b = self.bounds
-        obs = self.obstacles
-        return (np.array([b.lo.x, b.lo.y]), np.array([b.hi.x, b.hi.y]),
-                np.array([[o.lo.x, o.lo.y] for o in obs]).reshape(-1, 2),
-                np.array([[o.hi.x, o.hi.y] for o in obs]).reshape(-1, 2))
+        return _Table(box, obs, np.array([axes, 1 - axes]), coords,
+                      s_lo - RAY_TOL, s_hi + RAY_TOL, rank, normals)
 
 
 def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
@@ -197,11 +160,13 @@ def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
     The fluid is the closed bounds minus every open obstacle interior, so
     wall and obstacle-face points count as inside.
     """
-    b = arena.bounds
+    (x0, y0), (x1, y1) = arena._table.box
     x, y = pts[:, 0], pts[:, 1]
-    ok = (x >= b.lo.x) & (x <= b.hi.x) & (y >= b.lo.y) & (y <= b.hi.y)
-    for ob in arena.obstacles:
-        ok &= ~((x > ob.lo.x) & (x < ob.hi.x) & (y > ob.lo.y) & (y < ob.hi.y))
+    ok = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+    # Column by column, one obstacle at a time: an (N, K, 2) broadcast is
+    # ten times slower on a field grid.
+    for (x0, y0), (x1, y1) in arena._table.obs:
+        ok &= ~((x > x0) & (x < x1) & (y > y0) & (y < y1))
     return ok
 
 
@@ -213,7 +178,7 @@ def _first_hits(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
     where none), the distance to it (inf where none), and the (N, F) ray
     parameter of every valid face crossing (inf elsewhere).
     """
-    cols, coords, lo, hi, rank, normals = arena._ray_table
+    _, _, cols, coords, lo, hi, rank, normals = arena._table
     n_rays, n_faces = origins.shape[0], coords.shape[0]
     if n_faces == 0:  # obstacles fill the tank: there is nothing to strike
         return (np.zeros(n_rays, dtype=bool), np.zeros(n_rays, dtype=np.intp),
@@ -252,14 +217,14 @@ def ray_hits_many(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
     carries the larger |direction| component, x-axis faces winning exact
     ties.
     """
-    axes, coords, *_ = arena._faces
+    t = arena._table
     has_hit, face, normals, dist, s = _first_hits(arena, origins, dirs)
     hit = np.flatnonzero(has_hit)
     s_best = np.zeros(origins.shape[0])
     s_best[hit] = s[hit, face[hit]]
     points = origins + s_best[:, None] * dirs
     # Snap the constant coordinate of the hit onto the face plane.
-    points[hit, axes[face[hit]]] = coords[face[hit]]
+    points[hit, t.cols[0, face[hit]]] = t.coords[face[hit]]
     return has_hit, points, normals, np.where(has_hit, dist, 0.0)
 
 
@@ -270,39 +235,34 @@ def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
     the coordinates that were adjusted (i.e. the local boundary normal
     directions involved).  A fluid point within eps of an outer wall is
     moved to eps and flagged; one within eps of an obstacle face is left
-    alone.
+    alone.  A point inside an obstacle leaves it through the nearest face
+    whose landing point, eps beyond the face, is in the fluid: never
+    through a face flush with the outer wall, nor into an obstacle that
+    touches this one.  Only a point walled in on all four sides by touching
+    obstacles and the outer wall has no such face, and stays outside.
     """
-    b = arena.bounds
-    b_lo, b_hi, ob_lo, ob_hi = arena._clamp_table
-    out = np.minimum(np.maximum(pts, b_lo + eps), b_hi - eps)
+    t = arena._table
+    out = np.minimum(np.maximum(pts, t.box[0] + eps), t.box[1] - eps)
     moved = out != pts
-    # One test against every obstacle at once; the sequential pass below runs
-    # only when a point is trapped, as its order settles points near
-    # adjacent obstacles.
-    per_obstacle = out[:, None, :]
-    if not ((per_obstacle > ob_lo) & (per_obstacle < ob_hi)).all(axis=2).any():
+    lo, hi = t.obs[:, 0], t.obs[:, 1]
+    per_obstacle = out[:, None]
+    trapped = ((per_obstacle > lo) & (per_obstacle < hi)).all(axis=2)
+    if not trapped.any():
         return out, moved
-
-    for ob in arena.obstacles:
-        inside = (
-            (out[:, 0] > ob.lo.x) & (out[:, 0] < ob.hi.x)
-            & (out[:, 1] > ob.lo.y) & (out[:, 1] < ob.hi.y)
-        )
-        if not inside.any():
-            continue
-        # Push each trapped point out through the nearest usable face; a
-        # face flush with the outer wall would push it out of bounds, so
-        # its exit cost is infinite.
-        exits = []
-        exits.append((out[:, 0] - ob.lo.x, 0, ob.lo.x - eps, ob.lo.x - eps >= b.lo.x))
-        exits.append((ob.hi.x - out[:, 0], 0, ob.hi.x + eps, ob.hi.x + eps <= b.hi.x))
-        exits.append((out[:, 1] - ob.lo.y, 1, ob.lo.y - eps, ob.lo.y - eps >= b.lo.y))
-        exits.append((ob.hi.y - out[:, 1], 1, ob.hi.y + eps, ob.hi.y + eps <= b.hi.y))
-        costs = np.stack([np.where(ok, c, np.inf) for c, _, _, ok in exits])
-        choice = costs.argmin(axis=0)
-        for k, (_, axis, target, ok) in enumerate(exits):
-            sel = inside & (choice == k)
-            if sel.any():
-                out[sel, axis] = target
-                moved[sel, axis] = True
+    # Obstacle interiors are disjoint, so a point is trapped in at most one.
+    row, k = np.nonzero(trapped)
+    p = out[row]
+    # The exits through the x-lo, x-hi, y-lo and y-hi faces, in that order
+    # for ties: the distance to each face, and the point moved along the
+    # face's axis to eps beyond it.
+    axis = np.array([0, 0, 1, 1])
+    cost = np.stack([p[:, 0] - lo[k, 0], hi[k, 0] - p[:, 0],
+                     p[:, 1] - lo[k, 1], hi[k, 1] - p[:, 1]])
+    land = np.repeat(p[None], 4, axis=0)
+    land[np.arange(4), :, axis] = np.stack([lo[k, 0] - eps, hi[k, 0] + eps,
+                                            lo[k, 1] - eps, hi[k, 1] + eps])
+    usable = contains_many(arena, land.reshape(-1, 2)).reshape(4, -1)
+    choice = np.where(usable, cost, np.inf).argmin(axis=0)
+    out[row] = land[choice, np.arange(row.size)]
+    moved[row, axis[choice]] = True
     return out, moved

@@ -17,17 +17,30 @@ from schoolsim.scent import solve_field
 BUILTIN_NAMES = ("config1-left", "config1-right", "config2", "config3")
 
 
-def _blas_environment():
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    threads = " ".join(f"{var}={os.environ.get(var)}" for var in THREAD_VARS)
-    return f"{threads} cpus={cpus} numpy={numpy.__version__} scipy={scipy.__version__}"
-
-
 # The golden digest and the c07 numbers depend on it.  Read when pytest loads
 # this file, before collection imports perfbench/run.py, which sets the
 # thread variables (too late to change the loaded BLAS).
+THREAD_ENV = {var: os.environ.get(var) for var in THREAD_VARS}
+
+
+def _blas_environment():
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    threads = " ".join(f"{var}={value}" for var, value in THREAD_ENV.items())
+    return f"{threads} cpus={cpus} numpy={numpy.__version__} scipy={scipy.__version__}"
+
+
 BLAS_ENVIRONMENT = _blas_environment()
+
+
+def pytest_collection_finish(session):
+    # Undo what importing perfbench/run.py set, so that the manifests the
+    # tests write record the environment the session really runs in.
+    for var, value in THREAD_ENV.items():
+        if value is None:
+            os.environ.pop(var, None)
+        else:
+            os.environ[var] = value
 
 
 def pytest_report_header(config):
@@ -38,6 +51,12 @@ def pytest_terminal_summary(terminalreporter, config):
     # -q leaves out the report header, so the log gets the line at its end.
     if config.get_verbosity() < 0:
         terminalreporter.write_line(BLAS_ENVIRONMENT)
+
+
+@pytest.fixture(scope="session")
+def thread_env():
+    """The thread variables as they were when the session started."""
+    return dict(THREAD_ENV)
 
 
 @pytest.fixture(scope="session")

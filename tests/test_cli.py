@@ -54,6 +54,16 @@ def test_manifest_records_blas_threads_and_versions(tmp_path, monkeypatch):
     assert (env["numpy"], env["scipy"]) == (numpy.__version__, scipy.__version__)
 
 
+def test_manifest_records_the_session_thread_variables(tmp_path, thread_env):
+    # No monkeypatch: the manifest must see the environment the session
+    # started with, whatever collecting other test directories imported.
+    out = tmp_path / "field"
+    assert main(["solve-field", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(out), "--spacing", "0.1"]) == 0
+    env = json.loads((out / "manifest.json").read_text())["environment"]
+    assert env["thread_env"] == thread_env
+
+
 def test_outputs_are_protected_from_overwrite(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "field"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from schoolsim.geometry import (Arena, AxisRect, Vec2, clamp_many, contains_many,
-                                ray_hits_many)
+from schoolsim.geometry import (RAY_TOL, Arena, AxisRect, Vec2, clamp_many,
+                                contains_many, ray_hits_many)
 
 
 def rect(x0, y0, x1, y1):
@@ -16,8 +16,9 @@ BAFFLE_ARENA = Arena(rect(0, 0, 4, 4), (rect(2, 2.5, 2.5, 4),))
 TWO_OBSTACLE_ARENA = Arena(rect(0, 0, 7, 4),
                            (rect(2, 2.5, 2.5, 4), rect(4.5, 0, 5, 1.5)))
 UNIT_SQUARE = Arena(rect(0, 0, 1, 1))
+TOUCHING_ARENA = Arena(rect(0, 0, 7, 4), (rect(1, 1, 2, 3), rect(2, 1, 3, 3)))
 
-ALL_ARENAS = [TANK, BAFFLE_ARENA, TWO_OBSTACLE_ARENA, UNIT_SQUARE]
+ALL_ARENAS = [TANK, BAFFLE_ARENA, TWO_OBSTACLE_ARENA, UNIT_SQUARE, TOUCHING_ARENA]
 
 
 def inside(arena, x, y):
@@ -108,6 +109,51 @@ def test_arena_rejects_overlapping_obstacles():
 
 def test_arena_allows_touching_obstacles():
     Arena(rect(0, 0, 7, 4), (rect(1, 1, 2, 3), rect(2, 1, 3, 3)))
+
+
+# The fluid-side faces as (axis, coord, span lo, span hi, normal sign): the
+# walls left, right, bottom and top minus the spans of flush obstacles, then
+# each obstacle's x-lo, x-hi, y-lo and y-hi faces off the walls.  Ray-cast
+# ties go to the lowest face, so every trajectory digest depends on this
+# order.
+FACE_ROWS = {
+    "baffle": (BAFFLE_ARENA, [
+        (0, 0.0, 0.0, 4.0, 1.0), (0, 4.0, 0.0, 4.0, -1.0),
+        (1, 0.0, 0.0, 4.0, 1.0), (1, 4.0, 0.0, 2.0, -1.0), (1, 4.0, 2.5, 4.0, -1.0),
+        (0, 2.0, 2.5, 4.0, -1.0), (0, 2.5, 2.5, 4.0, 1.0), (1, 2.5, 2.0, 2.5, -1.0),
+    ]),
+    "two-obstacle": (TWO_OBSTACLE_ARENA, [
+        (0, 0.0, 0.0, 4.0, 1.0), (0, 7.0, 0.0, 4.0, -1.0),
+        (1, 0.0, 0.0, 4.5, 1.0), (1, 0.0, 5.0, 7.0, 1.0),
+        (1, 4.0, 0.0, 2.0, -1.0), (1, 4.0, 2.5, 7.0, -1.0),
+        (0, 2.0, 2.5, 4.0, -1.0), (0, 2.5, 2.5, 4.0, 1.0), (1, 2.5, 2.0, 2.5, -1.0),
+        (0, 4.5, 0.0, 1.5, -1.0), (0, 5.0, 0.0, 1.5, 1.0), (1, 1.5, 4.5, 5.0, 1.0),
+    ]),
+    "touching": (TOUCHING_ARENA, [
+        (0, 0.0, 0.0, 4.0, 1.0), (0, 7.0, 0.0, 4.0, -1.0),
+        (1, 0.0, 0.0, 7.0, 1.0), (1, 4.0, 0.0, 7.0, -1.0),
+        (0, 1.0, 1.0, 3.0, -1.0), (0, 2.0, 1.0, 3.0, 1.0),
+        (1, 1.0, 1.0, 2.0, -1.0), (1, 3.0, 1.0, 2.0, 1.0),
+        (0, 2.0, 1.0, 3.0, -1.0), (0, 3.0, 1.0, 3.0, 1.0),
+        (1, 1.0, 2.0, 3.0, -1.0), (1, 3.0, 2.0, 3.0, 1.0),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", FACE_ROWS)
+def test_face_table_order(name):
+    arena, rows = FACE_ROWS[name]
+    t = arena._table
+    axes = t.cols[0]
+    n = len(rows)
+    np.testing.assert_array_equal(axes, [r[0] for r in rows])
+    np.testing.assert_array_equal(t.cols[1], 1 - axes)
+    np.testing.assert_array_equal(t.coords, [r[1] for r in rows])
+    np.testing.assert_array_equal(t.lo, np.array([r[2] for r in rows]) - RAY_TOL)
+    np.testing.assert_array_equal(t.hi, np.array([r[3] for r in rows]) + RAY_TOL)
+    np.testing.assert_array_equal(t.normals[np.arange(n), axes], [r[4] for r in rows])
+    np.testing.assert_array_equal(t.normals[np.arange(n), 1 - axes], 0.0)
+    np.testing.assert_array_equal(t.normals[n], 0.0)
 
 
 # ---------------------------------------------------------------- ray casting
@@ -331,6 +377,21 @@ def test_clamp_always_lands_inside(arena):
     assert near.sum() >= len(band)
     np.testing.assert_array_equal(moved[near], (pts[near] < lo + eps) | (pts[near] > hi - eps))
     np.testing.assert_array_equal(clamped[near], np.clip(pts[near], lo + eps, hi - eps))
+
+
+@pytest.mark.parametrize("obstacles", [
+    (rect(1, 1, 2, 2), rect(2, 1, 3, 2)),
+    (rect(2, 1, 3, 2), rect(1, 1, 2, 2)),
+])
+def test_clamp_never_pushes_into_a_touching_obstacle(obstacles):
+    # The nearest face of each point is the shared one at x = 2; crossing it
+    # lands in the other obstacle, so the point leaves through another face.
+    arena = Arena(rect(0, 0, 4, 4), obstacles)
+    pts = np.array([[2.05, 1.5], [1.95, 1.5]])
+    out, moved = clamp_many(arena, pts, 1e-4)
+    assert contains_many(arena, out).all()
+    np.testing.assert_array_equal(out, [[2.05, 1 - 1e-4], [1.95, 1 - 1e-4]])
+    np.testing.assert_array_equal(moved, [[False, True], [False, True]])
 
 
 def test_clamp_is_deterministic_on_ties():
