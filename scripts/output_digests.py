@@ -41,7 +41,12 @@ CASES = (
          "--seed", "1234", "--per-trial"]),
        ("sweep config3 N=2-3 trials=4 horizon=40", "config3",
         ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "4",
-         "--seed", "1234", "--per-trial", "--set", "horizon=40"])]
+         "--seed", "1234", "--per-trial", "--set", "horizon=40"]),
+       # More trials than one shard holds, run in a pool: the shards of each
+       # N are joined in order.
+       ("sweep config2 N=2-3 trials=70 jobs=2 horizon=5", "config2",
+        ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "70",
+         "--seed", "1234", "--jobs", "2", "--per-trial", "--set", "horizon=5"])]
 )
 
 

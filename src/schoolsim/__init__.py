@@ -20,9 +20,8 @@ from .dynamics import (ForceBlowUpError, ModelParams, SwarmState, advance,
 from .metrics import (Classifier, OutcomeState, classify,
                       connected_components, school_center)
 from .experiment import (ExperimentResult, SweepPoint, TrialConfig,
-                         TrialOutcome, TrialRecord, builtin_config,
-                         initial_state, run_sweep, run_trial, run_trials,
-                         trial_seed)
+                         TrialOutcome, builtin_config, initial_state,
+                         run_sweep, run_trial, run_trials, trial_seed)
 from .config import ConfigError, RunSpec, SweepSpec, parse_config, write_config
 
 __all__ = [
@@ -37,7 +36,7 @@ __all__ = [
     "Classifier", "OutcomeState", "classify", "connected_components",
     "school_center",
     "ExperimentResult", "SweepPoint", "TrialConfig", "TrialOutcome",
-    "TrialRecord", "builtin_config", "initial_state", "run_sweep",
-    "run_trial", "run_trials", "trial_seed",
+    "builtin_config", "initial_state", "run_sweep", "run_trial",
+    "run_trials", "trial_seed",
     "ConfigError", "RunSpec", "SweepSpec", "parse_config", "write_config",
 ]

@@ -9,7 +9,6 @@ batch size: the trials of a shard are stepped together as one batch.
 """
 
 import time
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
@@ -88,7 +87,7 @@ class TrialConfig:
 
 @dataclass
 class TrialOutcome:
-    """Endpoint summary of one trial.
+    """Endpoint summary of one trial, as run_trial returns it.
 
     wall_clock (seconds) and the optional recorded trajectory are
     excluded from equality comparisons.
@@ -116,24 +115,18 @@ class SweepPoint:
         return self.success_count / self.trials
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Per-trial line of a sweep."""
-
-    n_fish: int
-    trial_index: int
-    seed: int
-    outcome: OutcomeState
-    final_center: Vec2
-    components: int
-
-
 @dataclass
 class ExperimentResult:
-    """Aggregated sweep outcomes, ordered by the requested school sizes."""
+    """Sweep outcomes, ordered by the requested school sizes.
+
+    points holds one SweepPoint per size.  trials holds one column per
+    measure, one row per trial in (N, trial index) order: "N",
+    "trial_index", "seed" (uint64), and the columns of run_trials.  It is
+    empty when the result is read back from a results CSV.
+    """
 
     points: list
-    records: list
+    trials: dict = dc_field(default_factory=dict)
 
     def point_for(self, n_fish: int) -> SweepPoint:
         for pt in self.points:
@@ -150,12 +143,16 @@ def initial_state(config: TrialConfig, rng: np.random.Generator) -> SwarmState:
 
 
 def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
-               spacing: float = DEFAULT_SPACING,
-               traj_stride: int = 0) -> list[TrialOutcome]:
+               spacing: float = DEFAULT_SPACING, traj_stride: int = 0):
     """Run one trial of config per seed (config.seed is ignored), all stepped
-    as one batch.  Each outcome equals that of its trial run alone; its
-    wall_clock is the time of the whole batch.  The field is solved when
-    not supplied; with traj_stride > 0 each outcome carries sampled states.
+    as one batch.  The field is solved when not supplied.
+
+    Returns ``(columns, wall_clock, samples)``.  columns maps each endpoint
+    measure to one row per seed: "outcome" (OutcomeState objects),
+    "center" (school centres, (B, 2)) and "components".  Row b equals the
+    trial of seeds[b] run alone.  wall_clock is the time of the whole
+    batch.  samples[b] lists school b's sampled states when traj_stride > 0;
+    otherwise samples is empty.
     """
     if field is None:
         field = solve_field(config.arena, config.food, spacing)
@@ -171,19 +168,21 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     except ForceBlowUpError as e:  # name the seeds, which replay with `run --seed`
         raise ForceBlowUpError(f"trial seed(s) {[seeds[b] for b in e.schools]}: {e}") from e
     wall_clock = time.perf_counter() - started
-    ends = zip(classify(state, config.classifier), school_center(state).tolist(),
-               connected_components(state, config.classifier.component_delta).tolist())
-    return [TrialOutcome(outcome, Vec2(*center), components, wall_clock,
-                         samples[b] if traj_stride > 0 else None)
-            for b, (outcome, center, components) in enumerate(ends)]
+    columns = {"outcome": classify(state, config.classifier),
+               "center": school_center(state),
+               "components": connected_components(state, config.classifier.component_delta)}
+    return columns, wall_clock, samples
 
 
 def run_trial(config: TrialConfig, field: ScentField | None = None, *,
               spacing: float = DEFAULT_SPACING,
               traj_stride: int = 0) -> TrialOutcome:
     """Run the trial seeded by config.seed: run_trials on a batch of one."""
-    return run_trials(config, [config.seed], field, spacing=spacing,
-                      traj_stride=traj_stride)[0]
+    columns, wall_clock, samples = run_trials(config, [config.seed], field, spacing=spacing,
+                                              traj_stride=traj_stride)
+    return TrialOutcome(columns["outcome"][0], Vec2(*columns["center"][0].tolist()),
+                        columns["components"][0].item(), wall_clock,
+                        samples[0] if samples else None)
 
 
 def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
@@ -198,6 +197,8 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
     runs as one run_trials batch, in-process or in the pool.
     """
     n_values = list(n_values)
+    if not n_values:
+        raise ValueError("n_values must name at least one school size")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if parallelism < 1:
@@ -206,30 +207,28 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
         field = solve_field(base.arena, base.food, spacing)
     n_shards = min(trials, max(parallelism, -(-trials // SHARD_TRIALS)))
     blocks = np.array_split(np.arange(trials), n_shards)
+    # uint64, as a seed may exceed 2**63 - 1; tolist() gives the shards ints.
+    seeds = np.array([[trial_seed(base_seed, n, j) for j in range(trials)]
+                      for n in n_values], dtype=np.uint64)
     configs = [replace(base, n_fish=n) for n in n_values for _ in blocks]
-    seeds = [[trial_seed(base_seed, n, j) for j in block.tolist()]
-             for n in n_values for block in blocks]
+    shard_seeds = [row[block].tolist() for row in seeds for block in blocks]
     run = partial(run_trials, field=field)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            shards = list(pool.map(run, configs, seeds))
+            shards = list(pool.map(run, configs, shard_seeds))
     else:
-        shards = list(map(run, configs, seeds))
+        shards = list(map(run, configs, shard_seeds))
 
-    points, records = [], []
-    for k, n in enumerate(n_values):
-        outs = [o for shard in shards[k * n_shards:(k + 1) * n_shards] for o in shard]
-        counts = Counter(o.outcome for o in outs)
-        records += [TrialRecord(n, j, trial_seed(base_seed, n, j), o.outcome,
-                                o.final_center, o.final_components)
-                    for j, o in enumerate(outs)]
-        points.append(SweepPoint(
-            n_fish=n, trials=trials,
-            failure_count=counts[OutcomeState.FAILURE],
-            presuccess_count=counts[OutcomeState.PRESUCCESS],
-            success_count=counts[OutcomeState.SUCCESS],
-        ))
-    return ExperimentResult(points=points, records=records)
+    columns = {name: np.concatenate([cols[name] for cols, _, _ in shards])
+               for name in shards[0][0]}
+    # Per N, the count of each outcome, in SweepPoint's field order.
+    outcome = columns["outcome"].reshape(len(n_values), trials, 1)
+    counts = np.count_nonzero(outcome == list(OutcomeState), axis=1)
+    return ExperimentResult(
+        points=[SweepPoint(n, trials, *row) for n, row in zip(n_values, counts.tolist())],
+        trials={"N": np.repeat(n_values, trials),
+                "trial_index": np.tile(np.arange(trials), len(n_values)),
+                "seed": seeds.ravel(), **columns})
 
 
 def builtin_config(name: str) -> TrialConfig:
@@ -293,19 +292,18 @@ def write_results_csv(result: ExperimentResult, path):
 
 
 def read_results_csv(path) -> ExperimentResult:
-    """Rebuild sweep points (without per-trial records) from a results CSV."""
+    """Rebuild sweep points (without per-trial columns) from a results CSV."""
     cells = tables.read(path, "results")[:, :5]
     if (cells != cells.astype(int)).any():
         raise ValueError("results CSV counts must be integers")
-    return ExperimentResult(points=[SweepPoint(*row) for row in cells.astype(int).tolist()],
-                            records=[])
+    return ExperimentResult(points=[SweepPoint(*row) for row in cells.astype(int).tolist()])
 
 
 def write_trials_csv(result: ExperimentResult, path):
     """One row per trial with its seed and endpoint summary."""
-    tables.write(path, "trials", [zip(*(
-        (rec.n_fish, rec.trial_index, rec.seed, rec.outcome.value, rec.final_center.x,
-         rec.final_center.y, rec.components) for rec in result.records))])
+    t = result.trials
+    tables.write(path, "trials", [(t["N"], t["trial_index"], t["seed"], t["outcome"],
+                                   *t["center"].T, t["components"])] if t else [])
 
 
 def write_trajectory_csv(samples, path):

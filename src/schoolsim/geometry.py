@@ -238,8 +238,11 @@ def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
     alone.  A point inside an obstacle leaves it through the nearest face
     whose landing point, eps beyond the face, is in the fluid: never
     through a face flush with the outer wall, nor into an obstacle that
-    touches this one.  Only a point walled in on all four sides by touching
-    obstacles and the outer wall has no such face, and stays outside.
+    touches this one.  A point walled in on all four sides by touching
+    obstacles and the outer wall has no such face.  It lands eps beyond a
+    fluid-side face of the table instead, at the point's foot on the face
+    or at an end of the face (kept eps in from it), whichever is nearest
+    with its landing point in the fluid.
     """
     t = arena._table
     out = np.minimum(np.maximum(pts, t.box[0] + eps), t.box[1] - eps)
@@ -265,4 +268,19 @@ def clamp_many(arena: Arena, pts: np.ndarray, eps: float):
     choice = np.where(usable, cost, np.inf).argmin(axis=0)
     out[row] = land[choice, np.arange(row.size)]
     moved[row, axis[choice]] = True
+    walled = ~usable.any(axis=0)
+    if walled.any() and t.coords.size:  # no face: obstacles fill the tank
+        # Candidates on every face: the foot of the point, and the two ends
+        # of the span, where a touching obstacle may begin to cover it.
+        q = p[walled]
+        lo, hi = t.lo + eps, t.hi - eps
+        along = np.stack(np.broadcast_arrays(np.clip(q[:, t.cols[1]], lo, hi), lo, hi))
+        on_axis = t.cols[0][:, None] == np.arange(2)
+        land = np.where(on_axis, t.coords[:, None], along[..., None]) + eps * t.normals[:-1]
+        land = land.transpose(1, 0, 2, 3).reshape(q.shape[0], -1, 2)
+        usable = contains_many(arena, land.reshape(-1, 2)).reshape(land.shape[:2])
+        cost = np.where(usable, np.hypot(*(land - q[:, None]).transpose(2, 0, 1)), np.inf)
+        r = row[walled]
+        out[r] = land[np.arange(r.size), cost.argmin(axis=1)]
+        moved[r] = out[r] != pts[r]
     return out, moved

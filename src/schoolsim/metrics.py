@@ -26,6 +26,9 @@ class OutcomeState(Enum):
     PRESUCCESS = "PreSuccess"
     SUCCESS = "Success"
 
+    def __str__(self):  # so a CSV writer writes an outcome as its value
+        return self.value
+
 
 # classify's lookup table, indexed 0 = Failure, 1 = PreSuccess, 2 = Success.
 _OUTCOMES = np.array(list(OutcomeState), dtype=object)

@@ -24,8 +24,8 @@ def write(path, kind, blocks):
     """Write a `kind` CSV: its header, then the rows of each block of columns.
 
     A column is an array or a list; an array goes through ``tolist()``, so
-    pass a column that must not pass through a fixed-width integer, such as
-    the 64-bit trial seeds, as a list.
+    a uint64 column of trial seeds writes every seed exactly.  A cell that
+    is neither a string nor a number is written as its ``str()``.
     """
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)

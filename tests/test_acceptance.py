@@ -274,10 +274,11 @@ def test_c08_two_obstacle_outcome_spread(config3, field_config3):
 @pytest.mark.slow
 def test_c09_school_cohesion(open_tank_sweep):
     res, _ = open_tank_sweep
-    single = sum(1 for r in res.records if r.components == 1)
-    frac = single / len(res.records)
+    components = res.trials["components"]
+    single = int(np.count_nonzero(components == 1))
+    frac = single / len(components)
     ok = frac >= 0.95
-    line = report(9, ok, f"{single}/{len(res.records)} trials end as one "
+    line = report(9, ok, f"{single}/{len(components)} trials end as one "
                          f"component at delta 0.3")
     assert ok, line
 

@@ -1,6 +1,8 @@
 """End-to-end command-line flows run in-process through main()."""
 
+import csv
 import json
+from collections import Counter
 
 import numpy
 import pytest
@@ -233,6 +235,31 @@ def test_sweep_results_identical_across_jobs(tmp_path):
         outs[jobs] = ((out / "results.csv").read_bytes(),
                       (out / "trials.csv").read_bytes())
     assert outs["1"] == outs["2"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_counts_equal_the_per_trial_outcomes(tmp_path, jobs):
+    # A band around the start region gives all three outcomes.
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--n-min", "2", "--n-max", "3", "--trials", "12", "--seed", "5",
+                 "--jobs", jobs, "--per-trial",
+                 "--set", "classifier.kind=band-three-state",
+                 "--set", "classifier.left_threshold=1.4",
+                 "--set", "classifier.right_threshold=1.6"]) == 0
+    with open(out / "trials.csv", newline="") as fh:
+        tally = Counter((int(row["N"]), row["outcome"]) for row in csv.DictReader(fh))
+    with open(out / "results.csv", newline="") as fh:
+        results = list(csv.DictReader(fh))
+    assert [int(row["N"]) for row in results] == [2, 3]
+    for row in results:
+        n = int(row["N"])
+        counts = [int(row[f"{name}_count"]) for name in ("failure", "presuccess", "success")]
+        assert counts == [tally[n, name] for name in ("Failure", "PreSuccess", "Success")]
+        assert sum(counts) == int(row["trials"]) == 12
+    assert sum(tally.values()) == 24
+    assert {name for _, name in tally} == {"Failure", "PreSuccess", "Success"}
 
 
 # ----------------------------------------------------------------------- plot

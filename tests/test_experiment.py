@@ -26,6 +26,18 @@ def coarse_field(config, spacing=0.05):
         return solve_field(config.arena, config.food, spacing)
 
 
+def endpoint(columns, k):
+    """Row k of the endpoint columns: outcome, centre bits and components."""
+    return (columns["outcome"][k], columns["center"][k].tobytes(),
+            columns["components"][k].item())
+
+
+def endpoint_alone(out):
+    """The same triple for a TrialOutcome."""
+    return (out.outcome, np.array([out.final_center.x, out.final_center.y]).tobytes(),
+            out.final_components)
+
+
 # -------------------------------------------------------------------- seeding
 
 def test_seed_mix_reference_values():
@@ -176,16 +188,17 @@ def test_run_trials_equals_each_trial_alone(config2, field_config2, b, n, first,
     # trajectory of run_trial on that seed alone
     cfg = dataclasses.replace(config2, n_fish=n, horizon=1.5)
     seeds = [first + 7 * k for k in range(b)]
-    outs = run_trials(cfg, seeds, field_config2, traj_stride=stride)
-    assert len(outs) == b
-    wall = {o.wall_clock for o in outs}
-    assert len(wall) == 1 and wall.pop() > 0.0  # the time of the one batch
-    for seed, got in zip(seeds, outs):
+    columns, wall_clock, samples = run_trials(cfg, seeds, field_config2, traj_stride=stride)
+    assert set(columns) == {"outcome", "center", "components"}
+    assert columns["center"].shape == (b, 2)
+    assert len(columns["outcome"]) == len(columns["components"]) == len(samples) == b
+    assert wall_clock > 0.0  # the time of the one batch
+    for k, seed in enumerate(seeds):
         want = run_trial(dataclasses.replace(cfg, seed=seed), field_config2,
                          traj_stride=stride)
-        assert got == want  # outcome, exact final centre and components
-        assert len(got.trajectory) == len(want.trajectory)
-        for g, w in zip(got.trajectory, want.trajectory):
+        assert endpoint(columns, k) == endpoint_alone(want)
+        assert len(samples[k]) == len(want.trajectory)
+        for g, w in zip(samples[k], want.trajectory):
             assert g.time == w.time
             np.testing.assert_array_equal(g.positions, w.positions)
             np.testing.assert_array_equal(g.velocities, w.velocities)
@@ -197,12 +210,13 @@ def test_singleton_sweep():
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
     res = run_sweep(cfg, [2], trials=1, base_seed=7, field=coarse_field(base))
-    assert len(res.points) == 1 and len(res.records) == 1
+    assert len(res.points) == 1
+    assert all(len(col) == 1 for col in res.trials.values())
     pt = res.points[0]
     assert pt.n_fish == 2 and pt.trials == 1
     assert pt.failure_count + pt.presuccess_count + pt.success_count == 1
     assert pt.success_probability in (0.0, 1.0)
-    assert res.records[0].seed == trial_seed(7, 2, 0)
+    assert res.trials["seed"].tolist() == [trial_seed(7, 2, 0)]
 
 
 def test_sweep_independent_of_parallelism():
@@ -215,23 +229,27 @@ def test_sweep_independent_of_parallelism():
         pooled = run_sweep(cfg, [2, 3], trials=4, base_seed=11,
                            parallelism=parallelism, field=field)
         assert serial.points == pooled.points
-        assert serial.records == pooled.records
+        assert serial.trials.keys() == pooled.trials.keys()
+        for name, col in serial.trials.items():
+            assert col.dtype == pooled.trials[name].dtype
+            assert col.tolist() == pooled.trials[name].tolist()
+        assert serial.trials["center"].tobytes() == pooled.trials["center"].tobytes()
 
 
 def test_sweep_beyond_shard_cap_matches_single_trials():
     # more trials than one shard may hold: the sweep runs them in two
-    # batches, and every record equals run_trial on its own seed
+    # batches, and every row equals run_trial on its own seed
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.05)
     field = coarse_field(base)
     trials = SHARD_TRIALS + 3
     res = run_sweep(cfg, [2], trials=trials, base_seed=23, field=field)
-    assert [r.trial_index for r in res.records] == list(range(trials))
-    for rec in res.records:
-        alone = run_trial(dataclasses.replace(cfg, n_fish=2, seed=rec.seed), field)
-        assert rec.seed == trial_seed(23, 2, rec.trial_index)
-        assert (rec.outcome, rec.final_center, rec.components) == (
-            alone.outcome, alone.final_center, alone.final_components)
+    assert res.trials["N"].tolist() == [2] * trials
+    assert res.trials["trial_index"].tolist() == list(range(trials))
+    for k, seed in enumerate(res.trials["seed"].tolist()):
+        assert seed == trial_seed(23, 2, k)
+        alone = run_trial(dataclasses.replace(cfg, n_fish=2, seed=seed), field)
+        assert endpoint(res.trials, k) == endpoint_alone(alone)
 
 
 def test_sweep_point_lookup_and_count_identity():
@@ -246,15 +264,19 @@ def test_sweep_point_lookup_and_count_identity():
         assert 0.0 <= pt.success_probability <= 1.0
     with pytest.raises(KeyError):
         res.point_for(99)
-    # records carry the derived per-trial seeds in order
-    assert [r.trial_index for r in res.records] == [0, 1, 2, 3, 4] * 2
-    assert all(r.seed == trial_seed(3, r.n_fish, r.trial_index) for r in res.records)
+    # the columns carry the derived per-trial seeds in order
+    t = res.trials
+    assert t["N"].tolist() == [2] * 5 + [4] * 5
+    assert t["trial_index"].tolist() == [0, 1, 2, 3, 4] * 2
+    assert t["seed"].tolist() == [trial_seed(3, n, j) for n in (2, 4) for j in range(5)]
 
 
 def test_sweep_rejects_bad_trial_count():
     base = builtin_config("config2")
     with pytest.raises(ValueError):
         run_sweep(base, [2], trials=0, base_seed=1, field=coarse_field(base))
+    with pytest.raises(ValueError, match="school size"):
+        run_sweep(base, [], trials=1, base_seed=1, field=coarse_field(base))
 
 
 @pytest.mark.parametrize("parallelism", [0, -3])
@@ -303,7 +325,7 @@ def test_results_csv_round_trip(tmp_path):
     write_results_csv(res, path)
     back = read_results_csv(path)
     assert back.points == res.points
-    assert back.records == []
+    assert back.trials == {}
     with pytest.raises(ValueError):
         read_results_csv(__file__)  # wrong header
 

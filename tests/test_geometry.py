@@ -1,10 +1,14 @@
 """Containment, ray casting, reflection, and clamping on rectangular arenas."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from schoolsim.geometry import (RAY_TOL, Arena, AxisRect, Vec2, clamp_many,
                                 contains_many, ray_hits_many)
+from schoolsim.scent import FoodSpec, sample_gradient_many, solve_field
 
 
 def rect(x0, y0, x1, y1):
@@ -399,3 +403,61 @@ def test_clamp_is_deterministic_on_ties():
     b = clamp_one(BAFFLE_ARENA, 2.25, 3.0)
     assert a == b
     assert inside(BAFFLE_ARENA, *a[0])
+
+
+# A column obstacle with touching neighbours left and right: (1.5, 2.5)
+# clips onto the tank top inside the column, and none of the column's four
+# exits lands in the fluid.
+WALLED_IN_ARENA = Arena(rect(0, 0, 4, 2), (rect(1, 0, 2, 2), rect(0, 1, 1, 2),
+                                           rect(2, 0, 3, 2)))
+
+
+@st.composite
+def grid_arenas(draw):
+    """A tank of whole cells with obstacles on whole cells, which may touch
+    each other and the walls, leaving at least one cell of fluid."""
+    unit = draw(st.sampled_from([0.5, 1.0]))
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    covered = np.zeros((w, h), dtype=bool)
+    obstacles = []
+    for x, y, dx, dy in draw(st.lists(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1),
+                                                st.integers(1, w), st.integers(1, h)),
+                                      max_size=6)):
+        cells = np.s_[x:x + dx, y:y + dy]
+        if not covered[cells].any():
+            covered[cells] = True
+            obstacles.append(rect(x * unit, y * unit, min(x + dx, w) * unit,
+                                  min(y + dy, h) * unit))
+    assume(not covered.all())
+    return Arena(rect(0, 0, w * unit, h * unit), tuple(obstacles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arena=grid_arenas(), seed=st.integers(0, 2**32 - 1))
+@example(arena=WALLED_IN_ARENA, seed=0)
+def test_grid_arenas_keep_every_point_in_the_fluid(arena, seed):
+    # The centre of every half-cell, and each centre stepped off every side
+    # of the tank, to clip onto the wall beside it.
+    b = arena.bounds
+    lo, hi = np.array([b.lo.x, b.lo.y]), np.array([b.hi.x, b.hi.y])
+    centres = np.stack(np.meshgrid(np.arange(0.25, b.hi.x, 0.5), np.arange(0.25, b.hi.y, 0.5),
+                                   indexing="ij"), axis=-1).reshape(-1, 2)
+    stepped = []
+    for axis in (0, 1):
+        for edge in (lo[axis] - 0.5, hi[axis] + 0.5):
+            stepped.append(centres.copy())
+            stepped[-1][:, axis] = edge
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([centres, *stepped, rng.uniform(lo - 1.0, hi + 1.0, size=(300, 2))])
+
+    clamped, _ = clamp_many(arena, pts, 1e-4)
+    assert contains_many(arena, clamped).all()
+
+    food = centres[contains_many(arena, centres)][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field = solve_field(arena, FoodSpec(center=Vec2(*food)), 0.25)
+    assert np.isfinite(sample_gradient_many(field, clamped)).all()
+
+    dirs = rng.standard_normal(clamped.shape)
+    assert ray_hits_many(arena, clamped, dirs)[0].all()

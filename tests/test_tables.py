@@ -9,10 +9,9 @@ import pytest
 
 from schoolsim.cli import main
 from schoolsim.dynamics import SwarmState
-from schoolsim.experiment import (ExperimentResult, SweepPoint, TrialRecord,
-                                  read_results_csv, read_trajectory_csv,
-                                  write_results_csv, write_trajectory_csv,
-                                  write_trials_csv)
+from schoolsim.experiment import (ExperimentResult, SweepPoint, read_results_csv,
+                                  read_trajectory_csv, write_results_csv,
+                                  write_trajectory_csv, write_trials_csv)
 from schoolsim.geometry import Arena, AxisRect, Vec2
 from schoolsim.metrics import OutcomeState
 from schoolsim.scent import FoodSpec, read_field_csv, solve_field, write_field_csv
@@ -57,10 +56,11 @@ def reference_trials_csv(result, path):
         out = csv.writer(fh)
         out.writerow(["N", "trial_index", "seed", "outcome",
                       "final_center_x", "final_center_y", "components"])
-        for rec in result.records:
-            out.writerow([rec.n_fish, rec.trial_index, rec.seed, rec.outcome.value,
-                          repr(rec.final_center.x), repr(rec.final_center.y),
-                          rec.components])
+        t = result.trials
+        for k in range(len(t["N"]) if t else 0):
+            out.writerow([int(t["N"][k]), int(t["trial_index"][k]), int(t["seed"][k]),
+                          t["outcome"][k].value, repr(float(t["center"][k, 0])),
+                          repr(float(t["center"][k, 1])), int(t["components"][k])])
 
 
 def reference_trajectory_csv(samples, path):
@@ -92,11 +92,12 @@ def sweep_result():
     points = [SweepPoint(2, 3, 1, 0, 2), SweepPoint(7, 3, 3, 0, 0),
               SweepPoint(11, 7, 1, 2, 4)]
     seeds = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
-    records = [TrialRecord(n, k, seed, outcome, Vec2(x, y), comps)
-               for k, (seed, outcome, x, y, comps, n) in enumerate(zip(
-                   seeds, list(OutcomeState) * 2, AWKWARD, AWKWARD[::-1],
-                   [1, 2, 3, 1, 1, 4], [2, 2, 7, 7, 11, 11]))]
-    return ExperimentResult(points=points, records=records)
+    trials = {"N": np.array([2, 2, 7, 7, 11, 11]), "trial_index": np.arange(6),
+              "seed": np.array(seeds, dtype=np.uint64),
+              "outcome": np.array(list(OutcomeState) * 2, dtype=object),
+              "center": np.column_stack((AWKWARD[:6], AWKWARD[::-1][:6])),
+              "components": np.array([1, 2, 3, 1, 1, 4])}
+    return ExperimentResult(points=points, trials=trials)
 
 
 def samples():
@@ -133,7 +134,7 @@ def test_csv_bytes_match_reference(tmp_path, write, reference, data):
 
 
 def test_empty_results_and_trials_write_only_the_header(tmp_path):
-    empty = ExperimentResult(points=[], records=[])
+    empty = ExperimentResult(points=[])
     for write, reference in ((write_results_csv, reference_results_csv),
                              (write_trials_csv, reference_trials_csv)):
         write(empty, tmp_path / "got.csv")
