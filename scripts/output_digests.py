@@ -46,7 +46,11 @@ CASES = (
        # N are joined in order.
        ("sweep config2 N=2-3 trials=70 jobs=2 horizon=5", "config2",
         ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "70",
-         "--seed", "1234", "--jobs", "2", "--per-trial", "--set", "horizon=5"])]
+         "--seed", "1234", "--jobs", "2", "--per-trial", "--set", "horizon=5"]),
+       # Every sweep value from --set alone: the config path of the flags.
+       ("sweep config2 N=2-3 trials=4 from --set", "config2",
+        ["sweep", "--per-trial", "--set", "sweep.n_min=2", "--set", "sweep.n_max=3",
+         "--set", "sweep.trials=4", "--set", "sweep.base_seed=1234"])]
 )
 
 

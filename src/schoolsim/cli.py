@@ -8,26 +8,27 @@ Commands::
     schoolsim plot       --input CSV --out D [--config F] [--instants LIST]
 
 Every command accepts repeated ``--set path=value`` overrides and refuses to
-overwrite existing outputs unless ``--force`` is given.  Exit status is 0 on
-success, 1 on a validation/usage error, 2 on a runtime failure.  Each command
-writes a ``manifest.json`` beside its outputs recording the exact inputs
-and the environment that produced them.
+overwrite existing outputs unless ``--force`` is given.  Each flag that names
+a config value (``--spacing``, ``--seed``, ``--n-min``, ...) is another
+spelling of ``--set`` on that value's key, applied after every ``--set``.
+Exit status is 0 on success, 1 on a validation/usage error, 2 on a runtime
+failure.  Each command writes a ``manifest.json`` beside its outputs
+recording the resolved config, the other inputs and the environment that
+produced them.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy
 import scipy
 
 from . import __version__, tables
-from .config import ConfigError, RunSpec, config_to_dict, parse_config
+from .config import ConfigError, RunSpec, SweepSpec, config_to_dict, parse_config
 from .experiment import (run_sweep, run_trial, read_results_csv,
                          read_trajectory_csv, write_results_csv,
                          write_trials_csv, write_trajectory_csv)
@@ -38,39 +39,30 @@ DEFAULT_TRAJ_STRIDE = 10
 PLOT_FILES = {"field": "heatmap.svg", "results": "probability.svg",
               "trajectory": "trajectories.svg"}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@dataclass
-class RunManifest:
-    """Record of one CLI invocation, written beside its outputs."""
-
-    command: str
-    config_path: str | None
-    output_dir: str
-    overrides: dict = field(default_factory=dict)
-    args: dict = field(default_factory=dict)
-    resolved_config: dict | None = None
-
-    def write(self, path):
-        doc = dataclasses.asdict(self)
-        doc["version"] = __version__
-        # CG rounds differently with another BLAS thread count, and the
-        # field and every trajectory inherit that rounding.
-        doc["environment"] = {
-            "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
-            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+# The sweep's flags, by the key of the config's sweep section each one spells.
+SWEEP_FLAGS = {"n_min": ("--n-min", "A"), "n_max": ("--n-max", "B"),
+               "trials": ("--trials", "T"), "base_seed": ("--seed", "S"),
+               "jobs": ("--jobs", "J")}
 
 
 class _Parser(argparse.ArgumentParser):
     # raise instead of calling sys.exit so main() controls the exit status
     def error(self, message):
         raise ConfigError(message)
+
+
+class _KeyFlag(argparse.Action):
+    """A flag that spells ``--set DEST=VALUE``; _load_spec applies it after
+    every ``--set``, so the flag wins."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        namespace.key_flags = {**namespace.key_flags, self.dest: value}
+
+
+def _add_key_flag(parser, flag, path, type, metavar):
+    parser.add_argument(flag, type=type, metavar=metavar, dest=path, action=_KeyFlag,
+                        default=argparse.SUPPRESS,
+                        help=f"same as --set {path}={metavar}")
 
 
 def _parse_sets(pairs):
@@ -101,22 +93,44 @@ def _prepare_out(args, filenames):
 
 
 def _load_spec(args) -> tuple[RunSpec, dict]:
+    """The config resolved from the file, every --set, and then the flags
+    that spell a --set, with the overrides in the order they were applied."""
     overrides = _parse_sets(args.sets)
+    for path, value in args.key_flags.items():
+        overrides.pop(path, None)
+        overrides[path] = value
     return parse_config(args.config, overrides), overrides
+
+
+def _write_manifest(args, path, overrides, spec, **flags):
+    """Record one command beside its outputs: its resolved config, the flags
+    that are not config keys, and the environment that produced it."""
+    doc = {"command": args.command, "version": __version__,
+           "config_path": str(args.config) if args.config else None,
+           "output_dir": str(path.parent), "overrides": overrides, "args": flags,
+           "resolved_config": config_to_dict(spec) if spec else None}
+    # CG rounds differently with another BLAS thread count, and the
+    # field and every trajectory inherit that rounding.
+    doc["environment"] = {
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count(),
+        "numpy": numpy.__version__, "scipy": scipy.__version__,
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_solve_field(args) -> int:
     spec, overrides = _load_spec(args)
-    spacing = args.spacing if args.spacing is not None else spec.spacing
     out, (csv_path, man_path) = _prepare_out(args, ["field.csv", "manifest.json"])
 
     t0 = time.perf_counter()
-    fld = solve_field(spec.trial.arena, spec.trial.food, spacing=spacing)
+    fld = solve_field(spec.trial.arena, spec.trial.food, spacing=spec.spacing)
     elapsed = time.perf_counter() - t0
     write_field_csv(fld, csv_path)
-    RunManifest("solve-field", str(args.config), str(out), overrides,
-                args={"spacing": spacing},
-                resolved_config=config_to_dict(spec.trial, spacing)).write(man_path)
+    _write_manifest(args, man_path, overrides, spec)
     print(f"field: {fld.nx}x{fld.ny} cells, {fld.iterations} iterations, "
           f"residual {fld.residual:.3e} ({elapsed:.2f} s)")
     print(f"wrote {csv_path}")
@@ -126,9 +140,7 @@ def cmd_solve_field(args) -> int:
 def cmd_run(args) -> int:
     spec, overrides = _load_spec(args)
     trial = spec.trial
-    if args.seed is not None:
-        trial = dataclasses.replace(trial, seed=args.seed)
-    stride = args.traj_stride if args.traj_stride is not None else DEFAULT_TRAJ_STRIDE
+    stride = args.traj_stride
     if stride < 1:
         raise ConfigError(f"--traj-stride must be at least 1, got {stride}")
     out, (traj_path, outcome_path, man_path) = _prepare_out(
@@ -145,10 +157,7 @@ def cmd_run(args) -> int:
             "n_fish": trial.n_fish,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    RunManifest("run", str(args.config), str(out), overrides,
-                args={"seed": trial.seed, "traj_stride": stride,
-                      "spacing": spec.spacing},
-                resolved_config=config_to_dict(trial, spec.spacing)).write(man_path)
+    _write_manifest(args, man_path, overrides, spec, traj_stride=stride)
     print(f"outcome: {result.outcome.value} "
           f"(center {result.final_center.x:.3f},{result.final_center.y:.3f}; "
           f"{result.final_components} component"
@@ -159,29 +168,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.component_delta is not None:  # the last --set, so it wins
-        args.sets.append(f"classifier.component_delta={json.dumps(args.component_delta)}")
     spec, overrides = _load_spec(args)
-    sw = spec.sweep
-
-    def pick(flag_value, spec_value, name):
-        if flag_value is not None:
-            return flag_value
-        if spec_value is not None:
-            return spec_value
-        raise ConfigError(f"sweep needs {name} (flag or config sweep section)")
-
-    n_min = pick(args.n_min, sw.n_min if sw else None, "--n-min")
-    n_max = pick(args.n_max, sw.n_max if sw else None, "--n-max")
-    trials = pick(args.trials, sw.trials if sw else None, "--trials")
-    seed = pick(args.seed, sw.base_seed if sw else None, "--seed")
-    jobs = args.jobs if args.jobs is not None else (sw.jobs if sw and sw.jobs is not None else 1)
-    if n_min < 2 or n_max < n_min:
-        raise ConfigError(f"bad school-size range [{n_min}, {n_max}]")
-    if trials < 1:
-        raise ConfigError(f"--trials must be positive, got {trials}")
-    if jobs < 1:
-        raise ConfigError(f"--jobs must be positive, got {jobs}")
+    sw = spec.sweep or SweepSpec()
+    for key in ("n_min", "n_max", "trials", "base_seed"):
+        if getattr(sw, key) is None:
+            raise ConfigError(f"sweep needs {SWEEP_FLAGS[key][0]} "
+                              f"(flag or config sweep section)")
 
     filenames = ["results.csv", "manifest.json"]
     if args.per_trial:
@@ -189,19 +181,15 @@ def cmd_sweep(args) -> int:
     out, targets = _prepare_out(args, filenames)
     results_path, man_path = targets[0], targets[-1]
 
-    n_values = list(range(n_min, n_max + 1))
+    n_values = list(range(sw.n_min, sw.n_max + 1))
     t0 = time.perf_counter()
-    result = run_sweep(spec.trial, n_values, trials, seed, parallelism=jobs,
+    result = run_sweep(spec.trial, n_values, sw.trials, sw.base_seed, parallelism=sw.jobs,
                        spacing=spec.spacing)
     elapsed = time.perf_counter() - t0
     write_results_csv(result, results_path)
     if args.per_trial:
         write_trials_csv(result, targets[1])
-    RunManifest("sweep", str(args.config), str(out), overrides,
-                args={"n_min": n_min, "n_max": n_max, "trials": trials,
-                      "seed": seed, "jobs": jobs, "per_trial": bool(args.per_trial),
-                      "spacing": spec.spacing},
-                resolved_config=config_to_dict(spec.trial, spec.spacing)).write(man_path)
+    _write_manifest(args, man_path, overrides, spec, per_trial=args.per_trial)
     for p in result.points:
         print(f"N={p.n_fish:3d}: {p.success_count}/{p.trials} success "
               f"({p.success_probability:.3f})")
@@ -221,10 +209,9 @@ def _sniff_csv(path) -> str:
 
 def cmd_plot(args) -> int:
     kind = _sniff_csv(args.input)
-    overrides = _parse_sets(args.sets)
-    spec = None
-    if args.config is not None:
-        spec, overrides = _load_spec(args)
+    if args.config is None and args.sets:
+        raise ConfigError("plot --set needs --config")
+    spec, overrides = _load_spec(args) if args.config else (None, {})
     instants = None
     if args.instants is not None:
         try:
@@ -252,11 +239,8 @@ def cmd_plot(args) -> int:
         text = render_trajectories(samples, instants, arena=arena, food_center=food)
 
     svg_path.write_text(text)
-    RunManifest("plot", str(args.config) if args.config else None, str(out),
-                overrides,
-                args={"input": str(args.input), "instants": instants},
-                resolved_config=(config_to_dict(spec.trial, spec.spacing)
-                                 if spec else None)).write(man_path)
+    _write_manifest(args, man_path, overrides, spec, input=str(args.input),
+                    instants=instants)
     print(f"wrote {svg_path}")
     return 0
 
@@ -272,18 +256,19 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", default=[], dest="sets",
                         metavar="PATH=VALUE",
                         help="dotted-path config override, e.g. params.vmax=1.2")
+    common.set_defaults(key_flags={})
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("solve-field", parents=[common],
                        help="solve the scent field and export it as CSV")
     p.add_argument("--config", required=True, metavar="F")
-    p.add_argument("--spacing", type=float, metavar="H")
+    _add_key_flag(p, "--spacing", "spacing", float, "H")
     p.set_defaults(func=cmd_solve_field)
 
     p = sub.add_parser("run", parents=[common], help="run a single trial")
     p.add_argument("--config", required=True, metavar="F")
-    p.add_argument("--seed", type=int, metavar="S")
-    p.add_argument("--traj-stride", type=int, metavar="K",
+    _add_key_flag(p, "--seed", "seed", int, "S")
+    p.add_argument("--traj-stride", type=int, default=DEFAULT_TRAJ_STRIDE, metavar="K",
                    help=f"steps between trajectory samples "
                         f"(default {DEFAULT_TRAJ_STRIDE})")
     p.set_defaults(func=cmd_run)
@@ -291,15 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common],
                        help="Monte Carlo sweep over school sizes")
     p.add_argument("--config", required=True, metavar="F")
-    p.add_argument("--n-min", type=int, metavar="A")
-    p.add_argument("--n-max", type=int, metavar="B")
-    p.add_argument("--trials", type=int, metavar="T")
-    p.add_argument("--seed", type=int, metavar="S")
-    p.add_argument("--jobs", type=int, metavar="J")
+    for key, (flag, metavar) in SWEEP_FLAGS.items():
+        _add_key_flag(p, flag, f"sweep.{key}", int, metavar)
     p.add_argument("--per-trial", action="store_true",
                    help="also write one row per trial to trials.csv")
-    p.add_argument("--component-delta", type=float, metavar="D",
-                   help="same as --set classifier.component_delta=D")
+    _add_key_flag(p, "--component-delta", "classifier.component_delta", float, "D")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plot", parents=[common],

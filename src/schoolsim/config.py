@@ -3,7 +3,8 @@
 Configs are JSON with nested keys named after the dataclass fields.  A
 file may name a ``builtin`` preset and then override any subset of keys;
 an ``overrides`` map of dotted paths is applied on top, and command-line
-``--set`` overrides win over everything in the file.
+``--set`` overrides (and the flags that spell them) win over everything in
+the file.
 
 The dataclasses are the schema: ``_load`` builds any of them from its
 fields and type hints (a field without a default is required, ``X | None``
@@ -28,13 +29,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Optional sweep defaults carried by a config file."""
+    """The sweep section of a config: school sizes n_min..n_max, trials per
+    size, base seed and worker count.  A sweep needs the first four; each
+    is checked here as soon as it is set."""
 
     n_min: int | None = None
     n_max: int | None = None
     trials: int | None = None
     base_seed: int | None = None
-    jobs: int | None = None
+    jobs: int = 1
+
+    def __post_init__(self):
+        lo, hi = self.n_min, self.n_max
+        if (lo is not None and lo < 2) or (hi is not None and hi < (2 if lo is None else lo)):
+            raise ValueError(f"bad school-size range [{lo}, {hi}]")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError(f"--trials must be positive, got {self.trials}")
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be positive, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -132,11 +144,11 @@ def _dump(obj):
     return obj
 
 
-def config_to_dict(trial: TrialConfig, spacing: float | None = None) -> dict:
-    """Canonical plain-dict form of a trial config (inverse of parsing)."""
-    d = _dump(trial)
-    if spacing is not None:
-        d["spacing"] = spacing
+def config_to_dict(spec: RunSpec | TrialConfig) -> dict:
+    """Canonical plain-dict form of a config, the inverse of parse_config_dict:
+    a RunSpec's trial fields sit at the top level beside spacing and sweep."""
+    d = _dump(spec)
+    d |= d.pop("trial", {})
     return d
 
 
@@ -241,8 +253,6 @@ def parse_config(path, cli_overrides: dict | None = None) -> RunSpec:
 
 def write_config(spec: RunSpec, path):
     """Write a RunSpec back to JSON; parse_config inverts this exactly."""
-    d = _dump(spec)
-    d |= d.pop("trial")
     with open(path, "w") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
+        json.dump(config_to_dict(spec), fh, indent=2, sort_keys=True)
         fh.write("\n")

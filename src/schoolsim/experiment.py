@@ -315,9 +315,15 @@ def write_trajectory_csv(samples, path):
 
 def read_trajectory_csv(path):
     """Rebuild sampled states from a trajectory CSV, whose rows may come in
-    any order."""
+    any order.  Raises ValueError unless each frame holds the particle ids
+    0..N-1 once each."""
     rows = tables.read(path, "trajectory")
     rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     times, starts = np.unique(rows[:, 0], return_index=True)
+    frames = np.split(rows, starts[1:])
+    for t, frame in zip(times.tolist(), frames):
+        if not np.array_equal(frame[:, 1], np.arange(len(frame))):
+            raise ValueError(f"trajectory CSV particle ids at t={t} must be the "
+                             f"integers 0..{len(frame) - 1}, each once")
     return [SwarmState(t, frame[:, 2:4].copy(), frame[:, 4:].copy())
-            for t, frame in zip(times.tolist(), np.split(rows, starts[1:]))]
+            for t, frame in zip(times.tolist(), frames)]

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import re
 from collections import Counter
 
 import numpy
 import pytest
 import scipy
 
+from schoolsim import cli
 from schoolsim.cli import main
+from schoolsim.config import parse_config, parse_config_dict
 
 QUICK = {
     "builtin": "config2",
@@ -33,7 +36,7 @@ def test_solve_field_writes_csv_and_manifest(tmp_path, capsys):
     assert (out / "field.csv").exists()
     man = json.loads((out / "manifest.json").read_text())
     assert man["command"] == "solve-field"
-    assert man["args"]["spacing"] == 0.1
+    assert man["resolved_config"]["spacing"] == 0.1
     assert man["config_path"] == str(cfg)
     assert man["resolved_config"]["food"]["center"]["x"] == 3.5
     assert "version" in man
@@ -94,7 +97,8 @@ def test_run_writes_outcome_and_trajectory(tmp_path):
     # 20 steps sampled every 4th, plus the start: 6 frames of 4 fish
     assert len(traj) == 1 + 6 * 4
     man = json.loads((out / "manifest.json").read_text())
-    assert man["args"] == {"seed": 5, "spacing": 0.05, "traj_stride": 4}
+    assert man["args"] == {"traj_stride": 4}
+    assert (man["resolved_config"]["seed"], man["resolved_config"]["spacing"]) == (5, 0.05)
 
 
 def test_run_seed_flag_overrides_config(tmp_path):
@@ -138,8 +142,9 @@ def test_sweep_writes_results(tmp_path, capsys):
     trials = (out / "trials.csv").read_text().splitlines()
     assert len(trials) == 1 + 4
     man = json.loads((out / "manifest.json").read_text())
-    assert man["args"]["n_min"] == 2 and man["args"]["n_max"] == 3
-    assert man["args"]["trials"] == 2 and man["args"]["seed"] == 9
+    sweep = man["resolved_config"]["sweep"]
+    assert sweep["n_min"] == 2 and sweep["n_max"] == 3
+    assert sweep["trials"] == 2 and sweep["base_seed"] == 9
     printed = capsys.readouterr().out
     assert "N=  2:" in printed and "N=  3:" in printed
 
@@ -181,25 +186,57 @@ def test_sweep_rejects_bad_component_delta(tmp_path, capsys, delta):
     assert not out.exists()
 
 
-def test_component_delta_flag_is_the_classifier_key_and_wins_over_set(tmp_path):
-    cfg = write_cfg(tmp_path)
+# Each flag that names a config value: the command and its non-config flags,
+# the flag, its --set path, the flag's value and another value.  The config
+# file gives each path a third value.
+KEY_FLAGS = {
+    "solve-field-spacing": (["solve-field"], "--spacing", "spacing", "0.1", "0.2"),
+    "run-seed": (["run"], "--seed", "seed", "5", "6"),
+    "sweep-n-min": (["sweep", "--per-trial"], "--n-min", "sweep.n_min", "3", "4"),
+    "sweep-n-max": (["sweep", "--per-trial"], "--n-max", "sweep.n_max", "3", "2"),
+    "sweep-trials": (["sweep", "--per-trial"], "--trials", "sweep.trials", "1", "3"),
+    "sweep-seed": (["sweep", "--per-trial"], "--seed", "sweep.base_seed", "7", "8"),
+    "sweep-jobs": (["sweep", "--per-trial"], "--jobs", "sweep.jobs", "2", "3"),
+    "sweep-component-delta": (["sweep", "--per-trial", "--set",
+                               'classifier={"kind": "min-x-threshold", "right_threshold": 2.5}'],
+                              "--component-delta", "classifier.component_delta", "10", "0.05"),
+}
+KEY_FLAG_FILE = dict(QUICK, seed=3, overrides={**QUICK["overrides"],
+                                               "classifier.component_delta": 0.2},
+                     sweep={"n_min": 2, "n_max": 4, "trials": 2, "base_seed": 9, "jobs": 1})
+
+
+@pytest.mark.parametrize("argv, flag, path, value, other", KEY_FLAGS.values(),
+                         ids=KEY_FLAGS.keys())
+def test_component_delta_flag_is_the_classifier_key_and_wins_over_set(
+        tmp_path, capsys, argv, flag, path, value, other):
+    cfg = write_cfg(tmp_path, KEY_FLAG_FILE)
     runs = {}
-    for name, extra in (("flag", ["--set", "classifier.component_delta=0.05",
-                                  "--set", 'classifier={"kind": "min-x-threshold", '
-                                           '"right_threshold": 2.5}',
-                                  "--component-delta", "10"]),
-                        ("set", ["--set", "classifier.component_delta=10"])):
+    for name, extra in (("flag", [flag, value]),
+                        ("set", ["--set", f"{path}={value}"]),
+                        ("wins", ["--set", f"{path}={other}", flag, value,
+                                  "--set", f"{path}={other}"])):
         out = tmp_path / name
-        assert main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--n-min", "4", "--n-max", "4", "--trials", "2",
-                     "--seed", "9", "--per-trial", *extra]) == 0
+        assert main([argv[0], "--config", str(cfg), "--out", str(out),
+                     *argv[1:], *extra]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["resolved_config"]["classifier"]["component_delta"] == 10
-        assert "component_delta" not in man["args"]
-        runs[name] = (out / "trials.csv").read_text()
-    # a 10-unit contact distance joins every fish of the 4x4 tank
-    assert [row.split(",")[-1] for row in runs["flag"].splitlines()[1:]] == ["1", "1"]
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        runs[name] = (man["resolved_config"], man["overrides"], files)
     assert runs["flag"] == runs["set"]
+    assert runs["wins"][0] == runs["flag"][0] and runs["wins"][2] == runs["flag"][2]
+    resolved = runs["flag"][0]
+    for key in path.split("."):
+        resolved = resolved[key]
+    assert resolved == json.loads(value)
+    assert path.split(".")[-1] not in man["args"]
+    if flag == "--component-delta":
+        # a 10-unit contact distance joins every fish of the 4x4 tank
+        trials = runs["flag"][2]["trials.csv"].decode().splitlines()[1:]
+        assert [row.split(",")[-1] for row in trials] == ["1"] * 6
+    capsys.readouterr()
+    assert main([argv[0], "--help"]) == 0
+    helptext = " ".join(capsys.readouterr().out.split())
+    assert re.search(rf"{flag} (\w) same as --set {re.escape(path)}=\1\b", helptext)
 
 
 @pytest.mark.parametrize("payload", [
@@ -300,6 +337,15 @@ def test_plot_dispatches_on_csv_kind(tmp_path, sweep_outputs):
     assert svg.count('class="obstacle"') == 3  # baffle outline from --config
 
 
+def test_plot_set_without_config_is_a_usage_error(tmp_path, capsys, sweep_outputs):
+    _, _, run_dir, _ = sweep_outputs
+    out = tmp_path / "p"
+    assert main(["plot", "--input", str(run_dir / "trajectory.csv"), "--out", str(out),
+                 "--set", "params.vmax=nonsense"]) == 1
+    assert "--set needs --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_rejects_unknown_csv(tmp_path):
     weird = tmp_path / "weird.csv"
     weird.write_text("a,b,c\n1,2,3\n")
@@ -321,6 +367,41 @@ def test_plot_empty_results_warns_but_succeeds(tmp_path, capsys):
     assert main(["plot", "--input", str(empty), "--out", str(out)]) == 0
     assert not (out / "probability.svg").exists()
     assert "no sweep points" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ manifests
+
+SWEEP_SECTION = dict(QUICK, sweep={"n_min": 2, "n_max": 3, "trials": 2, "base_seed": 9})
+
+
+@pytest.mark.parametrize("payload, argv, sets", [
+    (QUICK, ["solve-field", "--spacing", "0.1"], {"spacing": 0.1}),
+    (QUICK, ["run", "--seed", "5", "--traj-stride", "4", "--set", "n_fish=3"],
+     {"n_fish": 3, "seed": 5}),
+    (QUICK, ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "2", "--seed", "9"],
+     {"sweep.n_min": 2, "sweep.n_max": 3, "sweep.trials": 2, "sweep.base_seed": 9}),
+    (SWEEP_SECTION, ["sweep", "--per-trial", "--set", "sweep.trials=1", "--jobs", "2"],
+     {"sweep.trials": 1, "sweep.jobs": 2}),
+    (QUICK, ["plot", "--set", "n_fish=2"], {"n_fish": 2}),
+], ids=["solve-field", "run", "sweep-flags", "sweep-per-trial", "plot"])
+def test_manifest_replays_its_run(tmp_path, monkeypatch, payload, argv, sets):
+    cfg = write_cfg(tmp_path, payload)
+    if argv[0] == "plot":
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        argv = [*argv, "--input", str(tmp_path / "r" / "trajectory.csv")]
+    ran = []  # every RunSpec the command parsed
+
+    def recording_parse(*args):
+        ran.append(parse_config(*args))
+        return ran[-1]
+
+    monkeypatch.setattr(cli, "parse_config", recording_parse)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert ran == [parse_config(cfg, sets)]
+    assert parse_config_dict(man["resolved_config"]) == ran[0]
+    assert ("sweep" in man["resolved_config"]) == (argv[0] == "sweep")
 
 
 # ----------------------------------------------------------------- exit codes

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -75,6 +76,18 @@ def test_spacing_and_sweep_sections(tmp_path):
     assert spec.sweep == SweepSpec(n_min=2, n_max=8, trials=10, base_seed=99, jobs=2)
     partial = load(tmp_path, {"builtin": "config2", "sweep": {"trials": 5}})
     assert partial.sweep == SweepSpec(trials=5)
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"n_min": 1}, "bad school-size range [1, None]"),
+    ({"n_max": 1}, "bad school-size range [None, 1]"),
+    ({"n_min": 5, "n_max": 4}, "bad school-size range [5, 4]"),
+    ({"trials": 0}, "--trials must be positive, got 0"),
+    ({"jobs": 0}, "--jobs must be positive, got 0"),
+])
+def test_bad_sweep_section_is_rejected_when_parsed(tmp_path, sweep, message):
+    with pytest.raises(ConfigError, match=re.escape(f"sweep: {message}")):
+        load(tmp_path, {"builtin": "config2", "sweep": sweep})
 
 
 def test_fully_explicit_config(tmp_path):

@@ -230,14 +230,21 @@ def test_field_csv_rejects_missing_rows_and_no_rows(one_of_each):
         read_field_csv(path)
 
 
-def test_readers_reject_non_integer_indices_and_counts(one_of_each):
-    for kind, line in (("field", "0.5,0,"), ("field", "-1,0,"), ("results", "2.5,")):
+def test_readers_reject_non_integer_indices_and_counts(tmp_path, one_of_each):
+    # The trajectory rows replace the first fish of frame t=0: by a
+    # fractional id, by a repeat of fish 1, and by a fish 4 of four.
+    for kind, line in (("field", "0.5,0,"), ("field", "-1,0,"), ("results", "2.5,"),
+                       ("trajectory", "0.0,2.5,"), ("trajectory", "0.0,1,"),
+                       ("trajectory", "0.0,4,")):
         path = one_of_each[kind]
         lines = path.read_text().splitlines()
-        lines[1] = line + lines[1].split(",", 2 if kind == "field" else 1)[-1]
+        lines[1] = line + lines[1].split(",", 1 if kind == "results" else 2)[-1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="integers"):
             READERS[kind](path)
+    out = tmp_path / "plot"
+    assert main(["plot", "--input", str(one_of_each["trajectory"]), "--out", str(out)]) == 1
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_plot_refuses_a_trials_csv(tmp_path, one_of_each):
