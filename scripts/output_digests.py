@@ -5,11 +5,12 @@
 Run from any directory; schoolsim is imported from the ``src/`` next to
 this script.  Each CLI command runs in-process into a temporary directory,
 and every file it writes except ``manifest.json`` (which holds paths) is
-hashed.  The JSON also records the BLAS thread variables, because the CG
-solve, and with it every field and trajectory, rounds differently with
-another thread count.  Two checkouts wrote the same bytes when their JSON
-files are identical, so comparing a change with its parent is two runs
-under the same thread variables and a ``diff``.
+hashed.  The CSVs of the cases in PLOTTED are then drawn by ``plot``, and
+its SVG is hashed too.  The JSON also records the BLAS thread variables,
+because the CG solve, and with it every field and trajectory, rounds
+differently with another thread count.  Two checkouts wrote the same bytes
+when their JSON files are identical, so comparing a change with its parent
+is two runs under the same thread variables and a ``diff``.
 """
 
 import argparse
@@ -52,19 +53,25 @@ CASES = (
         ["sweep", "--per-trial", "--set", "sweep.n_min=2", "--set", "sweep.n_max=3",
          "--set", "sweep.trials=4", "--set", "sweep.base_seed=1234"])]
 )
+# The cases whose output CSV `plot` draws, by label, with the file it reads.
+PLOTTED = {"sweep config2 N=2-4 trials=6": "results.csv"}
 
 
-def digest_case(tmp: Path, builtin: str, argv: list) -> dict:
-    """Run one CLI command and hash each output file but the manifest."""
-    cfg = tmp / "config.json"
-    cfg.write_text(json.dumps({"builtin": builtin}))
-    out = tmp / "out"
+def run_cli(argv: list, out: Path) -> dict:
+    """Run one CLI command into out and hash each output file but the manifest."""
     with contextlib.redirect_stdout(io.StringIO()):
-        status = cli.main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]])
+        status = cli.main([*argv, "--out", str(out)])
     if status != 0:
         raise SystemExit(f"schoolsim {' '.join(argv)} exited with {status}")
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def digest_case(tmp: Path, builtin: str, argv: list) -> dict:
+    """Run one CLI command on a builtin config into tmp/out and hash its outputs."""
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps({"builtin": builtin}))
+    return run_cli([argv[0], "--config", str(cfg), *argv[1:]], tmp / "out")
 
 
 def main(argv=None) -> int:
@@ -75,7 +82,11 @@ def main(argv=None) -> int:
            "outputs": {}}
     for label, builtin, cli_args in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            doc["outputs"][label] = digest_case(Path(tmp), builtin, cli_args)
+            tmp = Path(tmp)
+            doc["outputs"][label] = digest_case(tmp, builtin, cli_args)
+            if label in PLOTTED:
+                doc["outputs"][f"plot {PLOTTED[label]} of {label}"] = run_cli(
+                    ["plot", "--input", str(tmp / "out" / PLOTTED[label])], tmp / "plot")
         print(label, flush=True)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -19,9 +19,9 @@ from .dynamics import (ForceBlowUpError, ModelParams, SwarmState, advance,
                        step, total_forces)
 from .metrics import (Classifier, OutcomeState, classify,
                       connected_components, school_center)
-from .experiment import (ExperimentResult, SweepPoint, TrialConfig,
-                         TrialOutcome, builtin_config, initial_state,
-                         run_sweep, run_trial, run_trials, trial_seed)
+from .experiment import (ExperimentResult, TrialConfig, TrialOutcome,
+                         builtin_config, initial_state, run_sweep, run_trial,
+                         run_trials, trial_seed)
 from .config import ConfigError, RunSpec, SweepSpec, parse_config, write_config
 
 __all__ = [
@@ -35,7 +35,7 @@ __all__ = [
     "total_forces",
     "Classifier", "OutcomeState", "classify", "connected_components",
     "school_center",
-    "ExperimentResult", "SweepPoint", "TrialConfig", "TrialOutcome",
+    "ExperimentResult", "TrialConfig", "TrialOutcome",
     "builtin_config", "initial_state", "run_sweep", "run_trial",
     "run_trials", "trial_seed",
     "ConfigError", "RunSpec", "SweepSpec", "parse_config", "write_config",

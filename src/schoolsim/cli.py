@@ -83,13 +83,15 @@ def _parse_sets(pairs):
 
 
 def _prepare_out(args, filenames):
+    """The output files, refused before any work if one exists without --force."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"{out} exists and is not a directory")
     targets = [out / name for name in filenames]
     for p in targets:
         if p.exists() and not args.force:
             raise ConfigError(f"{p} exists; pass --force to overwrite")
-    return out, targets
+    return targets
 
 
 def _load_spec(args) -> tuple[RunSpec, dict]:
@@ -104,7 +106,10 @@ def _load_spec(args) -> tuple[RunSpec, dict]:
 
 def _write_manifest(args, path, overrides, spec, **flags):
     """Record one command beside its outputs: its resolved config, the flags
-    that are not config keys, and the environment that produced it."""
+    that are not config keys, and the environment that produced it.  Each
+    command calls this once its work is done and before it writes anything
+    else, so a command that fails leaves no output directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {"command": args.command, "version": __version__,
            "config_path": str(args.config) if args.config else None,
            "output_dir": str(path.parent), "overrides": overrides, "args": flags,
@@ -124,13 +129,13 @@ def _write_manifest(args, path, overrides, spec, **flags):
 
 def cmd_solve_field(args) -> int:
     spec, overrides = _load_spec(args)
-    out, (csv_path, man_path) = _prepare_out(args, ["field.csv", "manifest.json"])
+    csv_path, man_path = _prepare_out(args, ["field.csv", "manifest.json"])
 
     t0 = time.perf_counter()
     fld = solve_field(spec.trial.arena, spec.trial.food, spacing=spec.spacing)
     elapsed = time.perf_counter() - t0
-    write_field_csv(fld, csv_path)
     _write_manifest(args, man_path, overrides, spec)
+    write_field_csv(fld, csv_path)
     print(f"field: {fld.nx}x{fld.ny} cells, {fld.iterations} iterations, "
           f"residual {fld.residual:.3e} ({elapsed:.2f} s)")
     print(f"wrote {csv_path}")
@@ -143,10 +148,11 @@ def cmd_run(args) -> int:
     stride = args.traj_stride
     if stride < 1:
         raise ConfigError(f"--traj-stride must be at least 1, got {stride}")
-    out, (traj_path, outcome_path, man_path) = _prepare_out(
+    traj_path, outcome_path, man_path = _prepare_out(
         args, ["trajectory.csv", "outcome.json", "manifest.json"])
 
     result = run_trial(trial, spacing=spec.spacing, traj_stride=stride)
+    _write_manifest(args, man_path, overrides, spec, traj_stride=stride)
     write_trajectory_csv(result.trajectory, traj_path)
     with open(outcome_path, "w") as fh:
         json.dump({
@@ -157,7 +163,6 @@ def cmd_run(args) -> int:
             "n_fish": trial.n_fish,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args, man_path, overrides, spec, traj_stride=stride)
     print(f"outcome: {result.outcome.value} "
           f"(center {result.final_center.x:.3f},{result.final_center.y:.3f}; "
           f"{result.final_components} component"
@@ -178,7 +183,7 @@ def cmd_sweep(args) -> int:
     filenames = ["results.csv", "manifest.json"]
     if args.per_trial:
         filenames.insert(1, "trials.csv")
-    out, targets = _prepare_out(args, filenames)
+    targets = _prepare_out(args, filenames)
     results_path, man_path = targets[0], targets[-1]
 
     n_values = list(range(sw.n_min, sw.n_max + 1))
@@ -186,13 +191,12 @@ def cmd_sweep(args) -> int:
     result = run_sweep(spec.trial, n_values, sw.trials, sw.base_seed, parallelism=sw.jobs,
                        spacing=spec.spacing)
     elapsed = time.perf_counter() - t0
+    _write_manifest(args, man_path, overrides, spec, per_trial=args.per_trial)
     write_results_csv(result, results_path)
     if args.per_trial:
         write_trials_csv(result, targets[1])
-    _write_manifest(args, man_path, overrides, spec, per_trial=args.per_trial)
-    for p in result.points:
-        print(f"N={p.n_fish:3d}: {p.success_count}/{p.trials} success "
-              f"({p.success_probability:.3f})")
+    for n, t, _, _, s, prob in zip(*result.results.values()):
+        print(f"N={n:3d}: {s}/{t} success ({prob:.3f})")
     print(f"wrote {results_path} ({elapsed:.1f} s)")
     return 0
 
@@ -222,12 +226,12 @@ def cmd_plot(args) -> int:
         if not instants:
             raise ConfigError("--instants needs at least one time")
 
-    out, (svg_path, man_path) = _prepare_out(args, [PLOT_FILES[kind], "manifest.json"])
+    svg_path, man_path = _prepare_out(args, [PLOT_FILES[kind], "manifest.json"])
 
     if kind == "field":
         text = render_heatmap(read_field_csv(args.input))
     elif kind == "results":
-        text = render_success_curve(read_results_csv(args.input).points)
+        text = render_success_curve(read_results_csv(args.input).results)
         if text is None:
             print(f"warning: {args.input} holds no sweep points, skipping plot",
                   file=sys.stderr)
@@ -238,9 +242,9 @@ def cmd_plot(args) -> int:
         food = spec.trial.food.center if spec else None
         text = render_trajectories(samples, instants, arena=arena, food_center=food)
 
-    svg_path.write_text(text)
     _write_manifest(args, man_path, overrides, spec, input=str(args.input),
                     instants=instants)
+    svg_path.write_text(text)
     print(f"wrote {svg_path}")
     return 0
 

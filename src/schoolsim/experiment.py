@@ -100,39 +100,28 @@ class TrialOutcome:
     trajectory: list | None = dc_field(compare=False, repr=False, default=None)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Outcome counts for one school size."""
-
-    n_fish: int
-    trials: int
-    failure_count: int
-    presuccess_count: int
-    success_count: int
-
-    @property
-    def success_probability(self) -> float:
-        return self.success_count / self.trials
-
-
 @dataclass
 class ExperimentResult:
-    """Sweep outcomes, ordered by the requested school sizes.
+    """Sweep outcomes as two tables of columns.
 
-    points holds one SweepPoint per size.  trials holds one column per
-    measure, one row per trial in (N, trial index) order: "N",
-    "trial_index", "seed" (uint64), and the columns of run_trials.  It is
-    empty when the result is read back from a results CSV.
+    results holds one row per school size, in the requested order, keyed
+    like the results CSV header (see results_table).  trials holds one row
+    per trial in (N, trial index) order: "N", "trial_index", "seed"
+    (uint64), and the columns of run_trials.  It is empty when the result is
+    read back from a results CSV.
     """
 
-    points: list
+    results: dict
     trials: dict = dc_field(default_factory=dict)
 
-    def point_for(self, n_fish: int) -> SweepPoint:
-        for pt in self.points:
-            if pt.n_fish == n_fish:
-                return pt
-        raise KeyError(f"no sweep point for N={n_fish}")
+
+def results_table(counts) -> dict:
+    """The results table of a (sizes, 5) int array of N, trials and the failure,
+    presuccess and success counts: one column per name of the results CSV
+    header, in its order, the last being the float success_probability."""
+    table = dict(zip(tables.HEADERS["results"], np.asarray(counts, dtype=int).T))
+    table["success_probability"] = table["success_count"] / table["trials"]
+    return table
 
 
 def initial_state(config: TrialConfig, rng: np.random.Generator) -> SwarmState:
@@ -221,11 +210,12 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
 
     columns = {name: np.concatenate([cols[name] for cols, _, _ in shards])
                for name in shards[0][0]}
-    # Per N, the count of each outcome, in SweepPoint's field order.
+    # Per N, the count of each outcome, in the results header's order.
     outcome = columns["outcome"].reshape(len(n_values), trials, 1)
     counts = np.count_nonzero(outcome == list(OutcomeState), axis=1)
     return ExperimentResult(
-        points=[SweepPoint(n, trials, *row) for n, row in zip(n_values, counts.tolist())],
+        results=results_table(np.column_stack(
+            (n_values, np.full(len(n_values), trials), counts))),
         trials={"N": np.repeat(n_values, trials),
                 "trial_index": np.tile(np.arange(trials), len(n_values)),
                 "seed": seeds.ravel(), **columns})
@@ -286,17 +276,20 @@ def builtin_config(name: str) -> TrialConfig:
 
 def write_results_csv(result: ExperimentResult, path):
     """One row per school size with outcome counts."""
-    tables.write(path, "results", [zip(*(
-        (pt.n_fish, pt.trials, pt.failure_count, pt.presuccess_count, pt.success_count,
-         pt.success_probability) for pt in result.points))])
+    tables.write(path, "results", [result.results.values()])
 
 
 def read_results_csv(path) -> ExperimentResult:
-    """Rebuild sweep points (without per-trial columns) from a results CSV."""
+    """The results table of a results CSV, success_probability recomputed.
+    Raises ValueError unless each row's counts are integers, with trials >= 1
+    and nonnegative outcome counts that sum to trials."""
     cells = tables.read(path, "results")[:, :5]
-    if (cells != cells.astype(int)).any():
-        raise ValueError("results CSV counts must be integers")
-    return ExperimentResult(points=[SweepPoint(*row) for row in cells.astype(int).tolist()])
+    counts = cells.astype(int)
+    if ((cells != counts).any() or (counts[:, 1] < 1).any() or (counts[:, 2:] < 0).any()
+            or (counts[:, 2:].sum(axis=1) != counts[:, 1]).any()):
+        raise ValueError("results CSV counts must be integers, with trials >= 1 and "
+                         "nonnegative outcome counts that sum to trials")
+    return ExperimentResult(results=results_table(counts))
 
 
 def write_trials_csv(result: ExperimentResult, path):

@@ -218,16 +218,17 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
     return "\n".join(parts) + "\n"
 
 
-def render_success_curve(points, px_width=560, px_height=400) -> str | None:
-    """Success probability against school size; None if there are no points."""
-    points = sorted(points, key=lambda p: p.n_fish)
-    if not points:
+def render_success_curve(results, px_width=560, px_height=400) -> str | None:
+    """Success probability against school size from a results table; None if it is empty."""
+    order = np.argsort(results["N"], kind="stable")
+    if not len(order):
         warnings.warn("sweep result is empty, no success curve to draw")
         return None
     m = MARGIN_PX + 8
     plot_w = px_width - 2 * m
     plot_h = px_height - 2 * m
-    ns = [p.n_fish for p in points]
+    ns = results["N"][order].tolist()
+    points = list(zip(ns, results["success_probability"][order].tolist()))
     n_lo, n_hi = min(ns), max(ns)
     span = max(n_hi - n_lo, 1)
 
@@ -250,17 +251,16 @@ def render_success_curve(points, px_width=560, px_height=400) -> str | None:
                      f'font-size="11" text-anchor="end">{label}</text>')
     if len(points) > 1:
         coords = " ".join("{},{}".format(_num(px), _num(py))
-                          for px, py in (to_px(p.n_fish, p.success_probability)
-                                         for p in points))
+                          for px, py in (to_px(n, prob) for n, prob in points))
         parts.append(f'<polyline points="{coords}" fill="none" '
                      f'stroke="{PARTICLE_COLOR}" stroke-width="1.5" class="curve"/>')
-    for p in points:
-        px, py = to_px(p.n_fish, p.success_probability)
+    for n, prob in points:
+        px, py = to_px(n, prob)
         parts.append(f'<circle cx="{_num(px)}" cy="{_num(py)}" r="3.5" '
                      f'fill="{PARTICLE_COLOR}" class="prob-point"/>')
         parts.append(f'<text x="{_num(px)}" y="{_num(m + plot_h + 16)}" '
                      f'font-family="sans-serif" font-size="11" '
-                     f'text-anchor="middle">{p.n_fish}</text>')
+                     f'text-anchor="middle">{n}</text>')
     parts.append(f'<text x="{_num(px_width / 2)}" y="{_num(px_height - 6)}" '
                  f'font-family="sans-serif" font-size="12" text-anchor="middle">'
                  f'school size</text>')

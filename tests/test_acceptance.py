@@ -232,9 +232,9 @@ def test_c05_integrator_strong_order():
 @pytest.mark.slow
 def test_c06_open_tank_success_rate(open_tank_sweep):
     res, wall = open_tank_sweep
-    pt = res.point_for(10)
-    ok = pt.success_probability >= 0.9 and wall < 300.0
-    line = report(6, ok, f"success {pt.success_count}/{pt.trials} at N=10 "
+    pt = {name: col.item() for name, col in res.results.items()}  # the one row, N=10
+    ok = pt["success_probability"] >= 0.9 and wall < 300.0
+    line = report(6, ok, f"success {pt['success_count']}/{pt['trials']} at N=10 "
                          f"in {wall:.0f}s (budget 300s)")
     assert ok, line
 
@@ -244,7 +244,7 @@ def test_c07_baffle_success_vs_school_size(config2, field_config2):
     t0 = time.perf_counter()
     res = run_sweep(config2, [2, 5, 20], 50, 1234, field=field_config2)
     wall = time.perf_counter() - t0
-    p2, p5, p20 = (res.point_for(n).success_probability for n in (2, 5, 20))
+    p2, p5, p20 = res.results["success_probability"].tolist()
     rise_ok = p5 - p2 >= 0.1
     fall_ok = p20 <= p5 + 0.1
     ok = rise_ok and fall_ok and wall < 900.0
@@ -262,12 +262,12 @@ def test_c08_two_obstacle_outcome_spread(config3, field_config3):
     t0 = time.perf_counter()
     res = run_sweep(config3, [10], 20, 777, field=field_config3)
     wall = time.perf_counter() - t0
-    pt = res.point_for(10)
-    others = pt.failure_count + pt.presuccess_count
-    ok = pt.success_count >= 1 and others >= 1
-    line = report(8, ok, f"{pt.success_count} success / {pt.presuccess_count} "
-                         f"presuccess / {pt.failure_count} failure over "
-                         f"{pt.trials} trials in {wall:.0f}s")
+    pt = {name: col.item() for name, col in res.results.items()}  # the one row, N=10
+    others = pt["failure_count"] + pt["presuccess_count"]
+    ok = pt["success_count"] >= 1 and others >= 1
+    line = report(8, ok, f"{pt['success_count']} success / {pt['presuccess_count']} "
+                         f"presuccess / {pt['failure_count']} failure over "
+                         f"{pt['trials']} trials in {wall:.0f}s")
     assert ok, line
 
 
@@ -309,8 +309,8 @@ def test_c11_half_step_robustness(config1_left, field_config1_left):
     t0 = time.perf_counter()
     res = run_sweep(fine, [10], 30, 123, field=field_config1_left)
     wall = time.perf_counter() - t0
-    pt = res.point_for(10)
-    ok = pt.success_probability >= 0.9
-    line = report(11, ok, f"success {pt.success_count}/{pt.trials} at dt=0.005 "
+    pt = {name: col.item() for name, col in res.results.items()}  # the one row, N=10
+    ok = pt["success_probability"] >= 0.9
+    line = report(11, ok, f"success {pt['success_count']}/{pt['trials']} at dt=0.005 "
                           f"in {wall:.0f}s")
     assert ok, line

@@ -77,6 +77,11 @@ def test_outputs_are_protected_from_overwrite(tmp_path):
     assert main(args) == 0
     assert main(args) == 1  # refuses silently clobbering
     assert main(args + ["--force"]) == 0
+    # an --out that is a file is refused before the field is solved
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    assert main(args[:4] + [str(afile)] + args[5:]) == 1
+    assert afile.read_text() == "kept"
 
 
 # ------------------------------------------------------------------------ run
@@ -343,6 +348,21 @@ def test_plot_set_without_config_is_a_usage_error(tmp_path, capsys, sweep_output
     assert main(["plot", "--input", str(run_dir / "trajectory.csv"), "--out", str(out),
                  "--set", "params.vmax=nonsense"]) == 1
     assert "--set needs --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("cfg.json", '{"builtin": "config2"}', ["solve-field", "--spacing", "0.03", "--config"]),
+    ("trajectory.csv", "t,particle_id,x,y,vx,vy\n0.0,0,1.0,1.0,0.0,0.0\n"
+                       "0.0,0,2.0,1.0,0.0,0.0\n", ["plot", "--input"]),
+    ("results.csv", "N,trials,failure_count,presuccess_count,success_count,"
+                    "success_probability\n2,0,0,0,0,0.0\n", ["plot", "--input"]),
+], ids=["solve-field-grid", "plot-repeated-id", "plot-zero-trials"])
+def test_a_command_that_fails_on_its_input_creates_no_out_dir(tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "--out", str(out)]) == 1
     assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from schoolsim.experiment import (SHARD_TRIALS, TrialConfig, builtin_config,
                                   write_trajectory_csv, write_trials_csv)
 from schoolsim.geometry import AxisRect, Vec2
 from schoolsim.metrics import OutcomeState
+from schoolsim.plots import render_success_curve
 from schoolsim.scent import solve_field
 
 
@@ -210,12 +211,12 @@ def test_singleton_sweep():
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
     res = run_sweep(cfg, [2], trials=1, base_seed=7, field=coarse_field(base))
-    assert len(res.points) == 1
+    r = res.results
+    assert all(len(col) == 1 for col in r.values())
     assert all(len(col) == 1 for col in res.trials.values())
-    pt = res.points[0]
-    assert pt.n_fish == 2 and pt.trials == 1
-    assert pt.failure_count + pt.presuccess_count + pt.success_count == 1
-    assert pt.success_probability in (0.0, 1.0)
+    assert r["N"].tolist() == [2] and r["trials"].tolist() == [1]
+    assert (r["failure_count"] + r["presuccess_count"] + r["success_count"]).tolist() == [1]
+    assert r["success_probability"].tolist() in ([0.0], [1.0])
     assert res.trials["seed"].tolist() == [trial_seed(7, 2, 0)]
 
 
@@ -228,7 +229,10 @@ def test_sweep_independent_of_parallelism():
     for parallelism in (2, 3):
         pooled = run_sweep(cfg, [2, 3], trials=4, base_seed=11,
                            parallelism=parallelism, field=field)
-        assert serial.points == pooled.points
+        assert serial.results.keys() == pooled.results.keys()
+        for name, col in serial.results.items():
+            assert col.dtype == pooled.results[name].dtype
+            assert np.array_equal(col, pooled.results[name])
         assert serial.trials.keys() == pooled.trials.keys()
         for name, col in serial.trials.items():
             assert col.dtype == pooled.trials[name].dtype
@@ -252,18 +256,16 @@ def test_sweep_beyond_shard_cap_matches_single_trials():
         assert endpoint(res.trials, k) == endpoint_alone(alone)
 
 
-def test_sweep_point_lookup_and_count_identity():
+def test_sweep_count_identity():
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
     res = run_sweep(cfg, [2, 4], trials=5, base_seed=3, field=coarse_field(base))
-    for n in (2, 4):
-        pt = res.point_for(n)
-        assert pt.trials == 5
-        assert pt.failure_count + pt.presuccess_count + pt.success_count == 5
-        assert pt.success_probability == pt.success_count / 5
-        assert 0.0 <= pt.success_probability <= 1.0
-    with pytest.raises(KeyError):
-        res.point_for(99)
+    r = res.results
+    assert r["N"].tolist() == [2, 4]
+    assert r["trials"].tolist() == [5, 5]
+    assert (r["failure_count"] + r["presuccess_count"] + r["success_count"]).tolist() == [5, 5]
+    assert r["success_probability"].tolist() == [s / 5 for s in r["success_count"].tolist()]
+    assert ((0.0 <= r["success_probability"]) & (r["success_probability"] <= 1.0)).all()
     # the columns carry the derived per-trial seeds in order
     t = res.trials
     assert t["N"].tolist() == [2] * 5 + [4] * 5
@@ -324,7 +326,11 @@ def test_results_csv_round_trip(tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv(res, path)
     back = read_results_csv(path)
-    assert back.points == res.points
+    assert back.results.keys() == res.results.keys()
+    for name, col in res.results.items():
+        assert col.dtype == back.results[name].dtype
+        assert np.array_equal(col, back.results[name])
+    assert render_success_curve(back.results) == render_success_curve(res.results)
     assert back.trials == {}
     with pytest.raises(ValueError):
         read_results_csv(__file__)  # wrong header

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from schoolsim.dynamics import SwarmState
-from schoolsim.experiment import SweepPoint, builtin_config
+from schoolsim.experiment import builtin_config, results_table
 from schoolsim.geometry import Arena, AxisRect, Vec2
 from schoolsim.plots import (HEAT_STRETCH, MARGIN_PX, MAX_HEATMAP_CELLS, RAMP,
                              SOLID_COLOR, WorldTransform, pick_instants,
@@ -167,9 +167,9 @@ def test_trajectory_is_deterministic():
 # -------------------------------------------------------------- success curve
 
 def test_success_curve_points_and_line():
-    pts = [SweepPoint(n, 10, 10 - s, 0, s) for n, s in
-           ((2, 3), (5, 9), (10, 7), (20, 4))]
-    svg = render_success_curve(pts)
+    table = results_table([(n, 10, 10 - s, 0, s) for n, s in
+                           ((2, 3), (5, 9), (10, 7), (20, 4))])
+    svg = render_success_curve(table)
     assert svg.count('class="prob-point"') == 4
     assert svg.count('class="curve"') == 1
     assert svg.count("<line") == 3  # gridlines at 0.25 / 0.5 / 0.75
@@ -177,14 +177,14 @@ def test_success_curve_points_and_line():
 
 
 def test_success_curve_single_point_has_no_line():
-    svg = render_success_curve([SweepPoint(5, 4, 1, 0, 3)])
+    svg = render_success_curve(results_table([(5, 4, 1, 0, 3)]))
     assert svg.count('class="prob-point"') == 1
     assert svg.count('class="curve"') == 0
 
 
 def test_success_curve_empty_warns_and_returns_none():
     with pytest.warns(UserWarning):
-        assert render_success_curve([]) is None
+        assert render_success_curve(results_table(np.empty((0, 5)))) is None
 
 
 # ---------------------------------------------------------------------- files

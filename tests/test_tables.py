@@ -9,8 +9,8 @@ import pytest
 
 from schoolsim.cli import main
 from schoolsim.dynamics import SwarmState
-from schoolsim.experiment import (ExperimentResult, SweepPoint, read_results_csv,
-                                  read_trajectory_csv, write_results_csv,
+from schoolsim.experiment import (ExperimentResult, read_results_csv, read_trajectory_csv,
+                                  results_table, write_results_csv,
                                   write_trajectory_csv, write_trials_csv)
 from schoolsim.geometry import Arena, AxisRect, Vec2
 from schoolsim.metrics import OutcomeState
@@ -46,9 +46,12 @@ def reference_results_csv(result, path):
         out = csv.writer(fh)
         out.writerow(["N", "trials", "failure_count", "presuccess_count",
                       "success_count", "success_probability"])
-        for pt in result.points:
-            out.writerow([pt.n_fish, pt.trials, pt.failure_count, pt.presuccess_count,
-                          pt.success_count, repr(pt.success_probability)])
+        r = result.results
+        for k in range(len(r["N"])):
+            n, trials, failure, presuccess, success = (
+                int(r[name][k]) for name in ("N", "trials", "failure_count",
+                                             "presuccess_count", "success_count"))
+            out.writerow([n, trials, failure, presuccess, success, repr(success / trials)])
 
 
 def reference_trials_csv(result, path):
@@ -89,15 +92,14 @@ def small_field(request):
 
 
 def sweep_result():
-    points = [SweepPoint(2, 3, 1, 0, 2), SweepPoint(7, 3, 3, 0, 0),
-              SweepPoint(11, 7, 1, 2, 4)]
+    results = results_table([(2, 3, 1, 0, 2), (7, 3, 3, 0, 0), (11, 7, 1, 2, 4)])
     seeds = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
     trials = {"N": np.array([2, 2, 7, 7, 11, 11]), "trial_index": np.arange(6),
               "seed": np.array(seeds, dtype=np.uint64),
               "outcome": np.array(list(OutcomeState) * 2, dtype=object),
               "center": np.column_stack((AWKWARD[:6], AWKWARD[::-1][:6])),
               "components": np.array([1, 2, 3, 1, 1, 4])}
-    return ExperimentResult(points=points, trials=trials)
+    return ExperimentResult(results=results, trials=trials)
 
 
 def samples():
@@ -134,7 +136,7 @@ def test_csv_bytes_match_reference(tmp_path, write, reference, data):
 
 
 def test_empty_results_and_trials_write_only_the_header(tmp_path):
-    empty = ExperimentResult(points=[])
+    empty = ExperimentResult(results=results_table(np.empty((0, 5))))
     for write, reference in ((write_results_csv, reference_results_csv),
                              (write_trials_csv, reference_trials_csv)):
         write(empty, tmp_path / "got.csv")
@@ -231,14 +233,19 @@ def test_field_csv_rejects_missing_rows_and_no_rows(one_of_each):
 
 
 def test_readers_reject_non_integer_indices_and_counts(tmp_path, one_of_each):
-    # The trajectory rows replace the first fish of frame t=0: by a
-    # fractional id, by a repeat of fish 1, and by a fish 4 of four.
+    # Each line replaces the leading cells of the first row.  The results rows
+    # hold a fractional N, zero trials, counts that sum past trials, and a
+    # negative count in a row that sums to trials.  The trajectory rows
+    # replace the first fish of frame t=0: by a fractional id, by a repeat of
+    # fish 1, and by a fish 4 of four.
     for kind, line in (("field", "0.5,0,"), ("field", "-1,0,"), ("results", "2.5,"),
+                       ("results", "2,0,0,0,0,"), ("results", "2,5,1,0,9,"),
+                       ("results", "2,5,-1,0,6,"),
                        ("trajectory", "0.0,2.5,"), ("trajectory", "0.0,1,"),
                        ("trajectory", "0.0,4,")):
         path = one_of_each[kind]
         lines = path.read_text().splitlines()
-        lines[1] = line + lines[1].split(",", 1 if kind == "results" else 2)[-1]
+        lines[1] = line + lines[1].split(",", line.count(","))[-1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="integers"):
             READERS[kind](path)
