@@ -6,11 +6,13 @@ Run from any directory; schoolsim is imported from the ``src/`` next to
 this script.  Each CLI command runs in-process into a temporary directory,
 and every file it writes except ``manifest.json`` (which holds paths) is
 hashed.  The CSVs of the cases in PLOTTED are then drawn by ``plot``, and
-its SVG is hashed too.  The JSON also records the BLAS thread variables,
-because the CG solve, and with it every field and trajectory, rounds
-differently with another thread count.  Two checkouts wrote the same bytes
-when their JSON files are identical, so comparing a change with its parent
-is two runs under the same thread variables and a ``diff``.
+its SVG is hashed too.  The JSON also records the environment that
+``manifest.json`` records (the BLAS thread variables, the CPU count and the
+numpy and scipy versions), because the CG solve, and with it every field
+and trajectory, rounds differently with another thread count.  Two
+checkouts wrote the same bytes when their JSON files are identical, so
+comparing a change with its parent is two runs in the same environment and
+a ``diff``.
 """
 
 import argparse
@@ -18,7 +20,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -53,8 +54,11 @@ CASES = (
         ["sweep", "--per-trial", "--set", "sweep.n_min=2", "--set", "sweep.n_max=3",
          "--set", "sweep.trials=4", "--set", "sweep.base_seed=1234"])]
 )
-# The cases whose output CSV `plot` draws, by label, with the file it reads.
-PLOTTED = {"sweep config2 N=2-4 trials=6": "results.csv"}
+# The cases whose output CSV `plot` draws, by label: the file it reads, and
+# whether `plot` also reads the case's config, for the arena and the food.
+PLOTTED = {"solve-field config3": ("field.csv", False),
+           "run config3 seed=1234 horizon=30": ("trajectory.csv", True),
+           "sweep config2 N=2-4 trials=6": ("results.csv", False)}
 
 
 def run_cli(argv: list, out: Path) -> dict:
@@ -78,15 +82,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", metavar="OUT.json", help="where to write the digests")
     args = parser.parse_args(argv)
-    doc = {"thread_env": {var: os.environ.get(var) for var in cli.THREAD_VARS},
-           "outputs": {}}
+    doc = {"environment": cli.run_environment(), "outputs": {}}
     for label, builtin, cli_args in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             doc["outputs"][label] = digest_case(tmp, builtin, cli_args)
             if label in PLOTTED:
-                doc["outputs"][f"plot {PLOTTED[label]} of {label}"] = run_cli(
-                    ["plot", "--input", str(tmp / "out" / PLOTTED[label])], tmp / "plot")
+                name, with_config = PLOTTED[label]
+                argv = ["plot", "--input", str(tmp / "out" / name)]
+                if with_config:
+                    argv += ["--config", str(tmp / "config.json")]
+                doc["outputs"][f"plot {name} of {label}"] = run_cli(argv, tmp / "plot")
         print(label, flush=True)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

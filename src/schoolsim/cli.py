@@ -104,6 +104,16 @@ def _load_spec(args) -> tuple[RunSpec, dict]:
     return parse_config(args.config, overrides), overrides
 
 
+def run_environment() -> dict:
+    """What a run's bytes depend on beyond its inputs: CG rounds differently
+    with another BLAS thread count, and the field and every trajectory
+    inherit that rounding."""
+    return {"thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+            "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            "numpy": numpy.__version__, "scipy": scipy.__version__}
+
+
 def _write_manifest(args, path, overrides, spec, **flags):
     """Record one command beside its outputs: its resolved config, the flags
     that are not config keys, and the environment that produced it.  Each
@@ -113,15 +123,8 @@ def _write_manifest(args, path, overrides, spec, **flags):
     doc = {"command": args.command, "version": __version__,
            "config_path": str(args.config) if args.config else None,
            "output_dir": str(path.parent), "overrides": overrides, "args": flags,
-           "resolved_config": config_to_dict(spec) if spec else None}
-    # CG rounds differently with another BLAS thread count, and the
-    # field and every trajectory inherit that rounding.
-    doc["environment"] = {
-        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
-        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-        else os.cpu_count(),
-        "numpy": numpy.__version__, "scipy": scipy.__version__,
-    }
+           "resolved_config": config_to_dict(spec) if spec else None,
+           "environment": run_environment()}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

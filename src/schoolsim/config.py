@@ -44,9 +44,9 @@ class SweepSpec:
         if (lo is not None and lo < 2) or (hi is not None and hi < (2 if lo is None else lo)):
             raise ValueError(f"bad school-size range [{lo}, {hi}]")
         if self.trials is not None and self.trials < 1:
-            raise ValueError(f"--trials must be positive, got {self.trials}")
+            raise ValueError(f"SweepSpec.trials must be positive, got {self.trials}")
         if self.jobs < 1:
-            raise ValueError(f"--jobs must be positive, got {self.jobs}")
+            raise ValueError(f"SweepSpec.jobs must be positive, got {self.jobs}")
 
 
 @dataclass(frozen=True)

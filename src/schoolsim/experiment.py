@@ -284,7 +284,8 @@ def read_results_csv(path) -> ExperimentResult:
     Raises ValueError unless each row's counts are integers, with trials >= 1
     and nonnegative outcome counts that sum to trials."""
     cells = tables.read(path, "results")[:, :5]
-    counts = cells.astype(int)
+    # NaN, inf and cells past int64 warn when cast, so they are cast as -1 and fail below
+    counts = np.where(abs(cells) < 2**63, cells, -1).astype(int)
     if ((cells != counts).any() or (counts[:, 1] < 1).any() or (counts[:, 2:] < 0).any()
             or (counts[:, 2:].sum(axis=1) != counts[:, 1]).any()):
         raise ValueError("results CSV counts must be integers, with trials >= 1 and "

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Arena
+from .geometry import Arena, AxisRect, Vec2
 from .scent import ScentField
 
 MAX_HEATMAP_CELLS = 40_000
+HEATMAP_PX = 840
 PANEL_PX = 320
+PANELS = 4  # snapshots drawn when no instants are requested
+CURVE_PX = (560, 400)
 MARGIN_PX = 36
 
 # Color anchors for the heatmap ramp, chosen so r+g+b increases strictly
@@ -45,17 +48,16 @@ def ramp_color(t: float) -> str:
 class WorldTransform:
     """Maps world (x, y) to SVG pixels; y is flipped so up stays up."""
 
-    def __init__(self, bounds, px_width=640, margin=MARGIN_PX):
-        self.margin = margin
-        self.scale = (px_width - 2 * margin) / bounds.width
+    def __init__(self, bounds, px_width):
+        self.scale = (px_width - 2 * MARGIN_PX) / bounds.width
         self.width = px_width
-        self.height = 2 * margin + bounds.height * self.scale
+        self.height = 2 * MARGIN_PX + bounds.height * self.scale
         self._x0 = bounds.lo.x
         self._y1 = bounds.hi.y
 
     def to_px(self, x, y):
-        return (self.margin + (x - self._x0) * self.scale,
-                self.margin + (self._y1 - y) * self.scale)
+        return (MARGIN_PX + (x - self._x0) * self.scale,
+                MARGIN_PX + (self._y1 - y) * self.scale)
 
 
 def _svg_open(width, height, parts):
@@ -72,9 +74,9 @@ def _rect_el(x, y, w, h, fill, extra=""):
 
 def _frame(tf, parts, arena: Arena | None):
     # frame around the world bounds
-    w = tf.width - 2 * tf.margin
-    h = tf.height - 2 * tf.margin
-    parts.append(f'<rect x="{_num(tf.margin)}" y="{_num(tf.margin)}" width="{_num(w)}" '
+    w = tf.width - 2 * MARGIN_PX
+    h = tf.height - 2 * MARGIN_PX
+    parts.append(f'<rect x="{_num(MARGIN_PX)}" y="{_num(MARGIN_PX)}" width="{_num(w)}" '
                  f'height="{_num(h)}" fill="none" stroke="#000000" stroke-width="1"/>')
     if arena is not None:
         for ob in arena.obstacles:
@@ -83,9 +85,11 @@ def _frame(tf, parts, arena: Arena | None):
                                   SOLID_COLOR, ' class="obstacle"'))
 
 
-def render_heatmap(field: ScentField, px_width=840) -> str:
+def render_heatmap(field: ScentField) -> str:
     """SVG heatmap of a scent field; solid cells are drawn dark."""
-    nx, ny = field.nx, field.ny
+    nx, ny, h = field.nx, field.ny, field.spacing
+    ox, oy = field.origin
+    tf = WorldTransform(AxisRect(Vec2(ox, oy), Vec2(ox + nx * h, oy + ny * h)), HEATMAP_PX)
     # coarsen so at most MAX_HEATMAP_CELLS blocks are emitted
     factor = 1
     while (-(-nx // factor)) * (-(-ny // factor)) > MAX_HEATMAP_CELLS:
@@ -95,8 +99,6 @@ def render_heatmap(field: ScentField, px_width=840) -> str:
 
     vals = np.where(field.fluid, field.values, 0.0)
     vmax = float(vals.max())
-    scale_px = (px_width - 2 * MARGIN_PX) / (nx * field.spacing)
-    height = 2 * MARGIN_PX + ny * field.spacing * scale_px
 
     # Each block's value sum and fluid count.  The sub-grids are added in
     # row-major order, the order in which numpy sums a block's fluid cells
@@ -110,7 +112,7 @@ def render_heatmap(field: ScentField, px_width=840) -> str:
         counts += fluid[di::factor, dj::factor]
 
     parts = []
-    _svg_open(px_width, height, parts)
+    _svg_open(tf.width, tf.height, parts)
     for (bi, bj), count in np.ndenumerate(counts):
         i0, i1 = bi * factor, min((bi + 1) * factor, nx)
         j0, j1 = bj * factor, min((bj + 1) * factor, ny)
@@ -122,42 +124,33 @@ def render_heatmap(field: ScentField, px_width=840) -> str:
         else:
             fill = SOLID_COLOR
             cls = ' class="solid"'
-        px = MARGIN_PX + i0 * field.spacing * scale_px
-        py = MARGIN_PX + (ny - j1) * field.spacing * scale_px
-        w = (i1 - i0) * field.spacing * scale_px
-        h = (j1 - j0) * field.spacing * scale_px
-        parts.append(_rect_el(px, py, w, h, fill, cls))
+        px, py = tf.to_px(ox + i0 * h, oy + j1 * h)
+        parts.append(_rect_el(px, py, (i1 - i0) * h * tf.scale, (j1 - j0) * h * tf.scale,
+                              fill, cls))
 
     # outline any obstacles and mark the source region
-    ox, oy = field.origin
     if field.arena is not None:
         for ob in field.arena.obstacles:
-            px = MARGIN_PX + (ob.lo.x - ox) * scale_px
-            py = MARGIN_PX + ((oy + ny * field.spacing) - ob.hi.y) * scale_px
-            parts.append(f'<rect x="{_num(px)}" y="{_num(py)}" '
-                         f'width="{_num(ob.width * scale_px)}" '
-                         f'height="{_num(ob.height * scale_px)}" fill="none" '
-                         f'stroke="#ffffff" stroke-width="1" class="obstacle"/>')
+            px, py = tf.to_px(ob.lo.x, ob.hi.y)
+            parts.append(_rect_el(px, py, ob.width * tf.scale, ob.height * tf.scale, "none",
+                                  ' stroke="#ffffff" stroke-width="1" class="obstacle"'))
     if field.source is not None and field.source.any():
         xs, ys = field.cell_centers()
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         mask = field.source > 0
-        cx = float(xg[mask].mean())
-        cy = float(yg[mask].mean())
-        px = MARGIN_PX + (cx - ox) * scale_px
-        py = MARGIN_PX + ((oy + ny * field.spacing) - cy) * scale_px
+        px, py = tf.to_px(float(xg[mask].mean()), float(yg[mask].mean()))
         parts.append(f'<circle cx="{_num(px)}" cy="{_num(py)}" r="5" fill="none" '
                      f'stroke="#ffffff" stroke-width="1.5" class="food"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def pick_instants(times, requested=None, count=4):
-    """Times to draw: the requested instants, or `count` evenly spaced ones."""
+def pick_instants(times, requested=None):
+    """Times to draw: the requested instants, or PANELS evenly spaced ones."""
     times = list(times)
     if requested is None:
         lo, hi = times[0], times[-1]
-        requested = [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+        requested = [lo + (hi - lo) * k / (PANELS - 1) for k in range(PANELS)]
     picked = []
     for t in requested:
         idx = min(range(len(times)), key=lambda k: (abs(times[k] - t), k))
@@ -179,7 +172,6 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
         allpos = np.concatenate([s.positions for s in samples])
         lo = allpos.min(axis=0) - 0.2
         hi = allpos.max(axis=0) + 0.2
-        from .geometry import AxisRect, Vec2
         bounds = AxisRect(Vec2(lo[0], lo[1]), Vec2(hi[0], hi[1]))
         obstacles_arena = None
     else:
@@ -218,12 +210,13 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
     return "\n".join(parts) + "\n"
 
 
-def render_success_curve(results, px_width=560, px_height=400) -> str | None:
+def render_success_curve(results) -> str | None:
     """Success probability against school size from a results table; None if it is empty."""
     order = np.argsort(results["N"], kind="stable")
     if not len(order):
         warnings.warn("sweep result is empty, no success curve to draw")
         return None
+    px_width, px_height = CURVE_PX
     m = MARGIN_PX + 8
     plot_w = px_width - 2 * m
     plot_h = px_height - 2 * m

@@ -326,7 +326,8 @@ def read_field_csv(path) -> ScentField:
     cells = tables.read(path, "field")
     if not len(cells):
         raise ValueError("field CSV has no cells")
-    ij = cells[:, :2].astype(int)
+    # NaN, inf and cells past int64 warn when cast, so they are cast as -1 and fail below
+    ij = np.where(abs(cells[:, :2]) < 2**63, cells[:, :2], -1).astype(int)
     if (ij != cells[:, :2]).any() or (ij < 0).any():
         raise ValueError("field CSV cell indices must be nonnegative integers")
     i, j = ij.T

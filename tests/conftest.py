@@ -6,11 +6,9 @@ setup step and every field is immutable once solved.
 
 import os
 
-import numpy
 import pytest
-import scipy
 
-from schoolsim.cli import THREAD_VARS
+from schoolsim.cli import run_environment
 from schoolsim.experiment import builtin_config
 from schoolsim.scent import solve_field
 
@@ -20,17 +18,10 @@ BUILTIN_NAMES = ("config1-left", "config1-right", "config2", "config3")
 # The golden digest and the c07 numbers depend on it.  Read when pytest loads
 # this file, before collection imports perfbench/run.py, which sets the
 # thread variables (too late to change the loaded BLAS).
-THREAD_ENV = {var: os.environ.get(var) for var in THREAD_VARS}
-
-
-def _blas_environment():
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    threads = " ".join(f"{var}={value}" for var, value in THREAD_ENV.items())
-    return f"{threads} cpus={cpus} numpy={numpy.__version__} scipy={scipy.__version__}"
-
-
-BLAS_ENVIRONMENT = _blas_environment()
+_ENVIRONMENT = run_environment()
+THREAD_ENV = _ENVIRONMENT.pop("thread_env")
+BLAS_ENVIRONMENT = " ".join(f"{key}={value}"
+                            for key, value in {**THREAD_ENV, **_ENVIRONMENT}.items())
 
 
 def pytest_collection_finish(session):

@@ -176,7 +176,7 @@ def test_sweep_rejects_bad_jobs_flag(tmp_path, capsys, jobs):
     assert main(["sweep", "--config", str(cfg), "--out", str(out),
                  "--n-min", "2", "--n-max", "2", "--trials", "1",
                  "--seed", "9", "--jobs", jobs]) == 1
-    assert "--jobs" in capsys.readouterr().err
+    assert f"SweepSpec.jobs must be positive, got {jobs}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -263,7 +263,7 @@ def test_sweep_rejects_bad_jobs_in_config(tmp_path, capsys):
     payload["sweep"] = {"n_min": 2, "n_max": 2, "trials": 1, "base_seed": 5, "jobs": 0}
     cfg = write_cfg(tmp_path, payload)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 1
-    assert "--jobs must be positive, got 0" in capsys.readouterr().err
+    assert "sweep: SweepSpec.jobs must be positive, got 0" in capsys.readouterr().err
 
 
 def test_sweep_results_identical_across_jobs(tmp_path):

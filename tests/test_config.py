@@ -82,8 +82,8 @@ def test_spacing_and_sweep_sections(tmp_path):
     ({"n_min": 1}, "bad school-size range [1, None]"),
     ({"n_max": 1}, "bad school-size range [None, 1]"),
     ({"n_min": 5, "n_max": 4}, "bad school-size range [5, 4]"),
-    ({"trials": 0}, "--trials must be positive, got 0"),
-    ({"jobs": 0}, "--jobs must be positive, got 0"),
+    ({"trials": 0}, "SweepSpec.trials must be positive, got 0"),
+    ({"jobs": 0}, "SweepSpec.jobs must be positive, got 0"),
 ])
 def test_bad_sweep_section_is_rejected_when_parsed(tmp_path, sweep, message):
     with pytest.raises(ConfigError, match=re.escape(f"sweep: {message}")):

@@ -3,6 +3,7 @@ that accept rows in any order, and the errors a malformed file raises."""
 
 import csv
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -235,19 +236,23 @@ def test_field_csv_rejects_missing_rows_and_no_rows(one_of_each):
 def test_readers_reject_non_integer_indices_and_counts(tmp_path, one_of_each):
     # Each line replaces the leading cells of the first row.  The results rows
     # hold a fractional N, zero trials, counts that sum past trials, and a
-    # negative count in a row that sums to trials.  The trajectory rows
-    # replace the first fish of frame t=0: by a fractional id, by a repeat of
-    # fish 1, and by a fish 4 of four.
-    for kind, line in (("field", "0.5,0,"), ("field", "-1,0,"), ("results", "2.5,"),
+    # negative count in a row that sums to trials.  The field and results rows
+    # with nan, inf or 1e300 must be refused without numpy's cast warning.  The
+    # trajectory rows replace the first fish of frame t=0: by a fractional id,
+    # by a repeat of fish 1, and by a fish 4 of four.
+    for kind, line in (("field", "0.5,0,"), ("field", "-1,0,"), ("field", "nan,0,"),
+                       ("field", "0,inf,"), ("field", "1e300,0,"), ("results", "2.5,"),
                        ("results", "2,0,0,0,0,"), ("results", "2,5,1,0,9,"),
-                       ("results", "2,5,-1,0,6,"),
+                       ("results", "2,5,-1,0,6,"), ("results", "2,nan,"),
+                       ("results", "inf,"), ("results", "2,5,0,0,1e300,"),
                        ("trajectory", "0.0,2.5,"), ("trajectory", "0.0,1,"),
                        ("trajectory", "0.0,4,")):
         path = one_of_each[kind]
         lines = path.read_text().splitlines()
         lines[1] = line + lines[1].split(",", line.count(","))[-1]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="integers"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="integers"):
+            warnings.simplefilter("error")
             READERS[kind](path)
     out = tmp_path / "plot"
     assert main(["plot", "--input", str(one_of_each["trajectory"]), "--out", str(out)]) == 1
