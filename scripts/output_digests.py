@@ -57,6 +57,7 @@ CASES = (
 # The cases whose output CSV `plot` draws, by label: the file it reads, and
 # whether `plot` also reads the case's config, for the arena and the food.
 PLOTTED = {"solve-field config3": ("field.csv", False),
+           "solve-field config2": ("field.csv", True),
            "run config3 seed=1234 horizon=30": ("trajectory.csv", True),
            "sweep config2 N=2-4 trials=6": ("results.csv", False)}
 

@@ -22,7 +22,7 @@ from .metrics import (Classifier, OutcomeState, classify,
 from .experiment import (ExperimentResult, TrialConfig, TrialOutcome,
                          builtin_config, initial_state, run_sweep, run_trial,
                          run_trials, trial_seed)
-from .config import ConfigError, RunSpec, SweepSpec, parse_config, write_config
+from .config import ConfigError, RunSpec, SweepSpec, parse_config
 
 __all__ = [
     "__version__",
@@ -38,5 +38,5 @@ __all__ = [
     "ExperimentResult", "TrialConfig", "TrialOutcome",
     "builtin_config", "initial_state", "run_sweep", "run_trial",
     "run_trials", "trial_seed",
-    "ConfigError", "RunSpec", "SweepSpec", "parse_config", "write_config",
+    "ConfigError", "RunSpec", "SweepSpec", "parse_config",
 ]

@@ -219,20 +219,24 @@ def cmd_plot(args) -> int:
     if args.config is None and args.sets:
         raise ConfigError("plot --set needs --config")
     spec, overrides = _load_spec(args) if args.config else (None, {})
+    arena = spec.trial.arena if spec else None
+    food = spec.trial.food.center if spec else None
     instants = None
     if args.instants is not None:
+        if kind != "trajectory":
+            raise ConfigError("--instants needs a trajectory CSV")
         try:
             instants = [float(tok) for tok in args.instants.split(",") if tok.strip()]
         except ValueError:
-            raise ConfigError(f"--instants needs comma-separated numbers, "
-                              f"got {args.instants!r}") from None
-        if not instants:
-            raise ConfigError("--instants needs at least one time")
+            instants = []
+        if not (instants and numpy.isfinite(instants).all()):
+            raise ConfigError(f"--instants needs comma-separated finite times, "
+                              f"got {args.instants!r}")
 
     svg_path, man_path = _prepare_out(args, [PLOT_FILES[kind], "manifest.json"])
 
     if kind == "field":
-        text = render_heatmap(read_field_csv(args.input))
+        text = render_heatmap(read_field_csv(args.input), arena=arena, food_center=food)
     elif kind == "results":
         text = render_success_curve(read_results_csv(args.input).results)
         if text is None:
@@ -240,10 +244,8 @@ def cmd_plot(args) -> int:
                   file=sys.stderr)
             return 0
     else:
-        samples = read_trajectory_csv(args.input)
-        arena = spec.trial.arena if spec else None
-        food = spec.trial.food.center if spec else None
-        text = render_trajectories(samples, instants, arena=arena, food_center=food)
+        text = render_trajectories(read_trajectory_csv(args.input), instants,
+                                   arena=arena, food_center=food)
 
     _write_manifest(args, man_path, overrides, spec, input=str(args.input),
                     instants=instants)
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render an exported CSV as SVG")
     p.add_argument("--input", required=True, metavar="CSV")
     p.add_argument("--config", metavar="F",
-                   help="config file, for arena outlines in trajectory plots")
+                   help="config file, for the arena and the food in the chart")
     p.add_argument("--instants", metavar="LIST",
                    help="comma-separated times for trajectory panels")
     p.set_defaults(func=cmd_plot)

@@ -249,10 +249,3 @@ def parse_config(path, cli_overrides: dict | None = None) -> RunSpec:
         line = _anchor_line(text, msg.split(":", 1)[0])
         where = f"{path}:{line}" if line is not None else str(path)
         raise ConfigError(f"{where}: {msg}") from e
-
-
-def write_config(spec: RunSpec, path):
-    """Write a RunSpec back to JSON; parse_config inverts this exactly."""
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -72,21 +72,23 @@ def _rect_el(x, y, w, h, fill, extra=""):
             f'height="{_num(h)}" fill="{fill}"{extra}/>')
 
 
-def _frame(tf, parts, arena: Arena | None):
-    # frame around the world bounds
-    w = tf.width - 2 * MARGIN_PX
-    h = tf.height - 2 * MARGIN_PX
-    parts.append(f'<rect x="{_num(MARGIN_PX)}" y="{_num(MARGIN_PX)}" width="{_num(w)}" '
-                 f'height="{_num(h)}" fill="none" stroke="#000000" stroke-width="1"/>')
+def _overlay(tf, parts, arena: Arena | None, food_center: Vec2 | None):
+    """The arena's obstacles and the food, each drawn only when given."""
     if arena is not None:
         for ob in arena.obstacles:
             px, py = tf.to_px(ob.lo.x, ob.hi.y)
             parts.append(_rect_el(px, py, ob.width * tf.scale, ob.height * tf.scale,
                                   SOLID_COLOR, ' class="obstacle"'))
+    if food_center is not None:
+        fx, fy = tf.to_px(food_center.x, food_center.y)
+        parts.append(f'<circle cx="{_num(fx)}" cy="{_num(fy)}" r="4" fill="none" '
+                     f'stroke="{FOOD_COLOR}" stroke-width="1.5" class="food"/>')
 
 
-def render_heatmap(field: ScentField) -> str:
-    """SVG heatmap of a scent field; solid cells are drawn dark."""
+def render_heatmap(field: ScentField, arena: Arena | None = None,
+                   food_center: Vec2 | None = None) -> str:
+    """SVG heatmap of a scent field; solid cells are drawn dark, and the
+    arena's obstacles and the food on top when given."""
     nx, ny, h = field.nx, field.ny, field.spacing
     ox, oy = field.origin
     tf = WorldTransform(AxisRect(Vec2(ox, oy), Vec2(ox + nx * h, oy + ny * h)), HEATMAP_PX)
@@ -128,19 +130,7 @@ def render_heatmap(field: ScentField) -> str:
         parts.append(_rect_el(px, py, (i1 - i0) * h * tf.scale, (j1 - j0) * h * tf.scale,
                               fill, cls))
 
-    # outline any obstacles and mark the source region
-    if field.arena is not None:
-        for ob in field.arena.obstacles:
-            px, py = tf.to_px(ob.lo.x, ob.hi.y)
-            parts.append(_rect_el(px, py, ob.width * tf.scale, ob.height * tf.scale, "none",
-                                  ' stroke="#ffffff" stroke-width="1" class="obstacle"'))
-    if field.source is not None and field.source.any():
-        xs, ys = field.cell_centers()
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        mask = field.source > 0
-        px, py = tf.to_px(float(xg[mask].mean()), float(yg[mask].mean()))
-        parts.append(f'<circle cx="{_num(px)}" cy="{_num(py)}" r="5" fill="none" '
-                     f'stroke="#ffffff" stroke-width="1.5" class="food"/>')
+    _overlay(tf, parts, arena, food_center)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -159,7 +149,7 @@ def pick_instants(times, requested=None):
 
 
 def render_trajectories(samples, instants=None, arena: Arena | None = None,
-                        food_center=None) -> str:
+                        food_center: Vec2 | None = None) -> str:
     """Panel-per-instant snapshots of school positions.
 
     `samples` is a list of states as produced by `advance`; each panel shows
@@ -173,10 +163,8 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
         lo = allpos.min(axis=0) - 0.2
         hi = allpos.max(axis=0) + 0.2
         bounds = AxisRect(Vec2(lo[0], lo[1]), Vec2(hi[0], hi[1]))
-        obstacles_arena = None
     else:
         bounds = arena.bounds
-        obstacles_arena = arena
 
     idxs = pick_instants([s.time for s in samples], instants)
     cols = 2 if len(idxs) > 1 else 1
@@ -184,6 +172,8 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
     tf = WorldTransform(bounds, px_width=PANEL_PX + 2 * MARGIN_PX)
     total_w = cols * tf.width
     total_h = rows * tf.height
+    frame = _rect_el(MARGIN_PX, MARGIN_PX, tf.width - 2 * MARGIN_PX,
+                     tf.height - 2 * MARGIN_PX, "none", ' stroke="#000000" stroke-width="1"')
 
     parts = []
     _svg_open(total_w, total_h, parts)
@@ -192,11 +182,8 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
         dx = (slot % cols) * tf.width
         dy = (slot // cols) * tf.height
         parts.append(f'<g transform="translate({_num(dx)},{_num(dy)})" class="panel">')
-        _frame(tf, parts, obstacles_arena)
-        if food_center is not None:
-            fx, fy = tf.to_px(food_center.x, food_center.y)
-            parts.append(f'<circle cx="{_num(fx)}" cy="{_num(fy)}" r="4" fill="none" '
-                         f'stroke="{FOOD_COLOR}" stroke-width="1.5" class="food"/>')
+        parts.append(frame)
+        _overlay(tf, parts, arena, food_center)
         for pos in state.positions:
             px, py = tf.to_px(pos[0], pos[1])
             parts.append(f'<circle cx="{_num(px)}" cy="{_num(py)}" r="3" '

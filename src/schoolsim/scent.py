@@ -64,12 +64,9 @@ class ScentField:
 
     Arrays are indexed ``[i, j]`` with i along x and j along y.  ``fluid``
     marks cells outside obstacles; values and gradients are zero on solid
-    cells.  ``arena`` is the geometry the field was solved on, from which
-    plots draw the obstacle outlines; a field read back from CSV has none.
-    Treated as immutable once constructed.
+    cells.  Treated as immutable once constructed.
     """
 
-    arena: Arena | None
     spacing: float
     origin: tuple
     nx: int
@@ -205,8 +202,8 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
 
     b = arena.bounds
     return ScentField(
-        arena=arena, spacing=h, origin=(b.lo.x, b.lo.y), nx=nx, ny=ny, fluid=fluid,
-        values=values, grad=grad, source=f, residual=residual, iterations=iterations,
+        spacing=h, origin=(b.lo.x, b.lo.y), nx=nx, ny=ny, fluid=fluid, values=values,
+        grad=grad, source=f, residual=residual, iterations=iterations,
     )
 
 
@@ -320,8 +317,8 @@ def write_field_csv(field: ScentField, path):
 def read_field_csv(path) -> ScentField:
     """Rebuild a plottable field from a CSV written by write_field_csv.
 
-    The rows may come in any order.  The arena is not reconstructed (set
-    to None); the fluid mask carries the obstacle footprint.
+    The rows may come in any order.  The fluid mask carries the obstacle
+    footprint; the source is not stored, so it reads back as zeros.
     """
     cells = tables.read(path, "field")
     if not len(cells):
@@ -348,6 +345,5 @@ def read_field_csv(path) -> ScentField:
     ys[j] = cells[:, 3]
     h = xs[1] - xs[0] if nx > 1 else (ys[1] - ys[0] if ny > 1 else 1.0)
     origin = (xs[0] - h / 2, ys[0] - h / 2)
-    return ScentField(arena=None, spacing=float(h), origin=origin, nx=nx, ny=ny,
-                      fluid=fluid, values=values, grad=grad,
-                      source=np.zeros((nx, ny)))
+    return ScentField(spacing=float(h), origin=origin, nx=nx, ny=ny, fluid=fluid,
+                      values=values, grad=grad, source=np.zeros((nx, ny)))

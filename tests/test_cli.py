@@ -374,9 +374,28 @@ def test_plot_rejects_unknown_csv(tmp_path):
 
 
 def test_plot_rejects_bad_instants(tmp_path, sweep_outputs):
-    _, _, run_dir, _ = sweep_outputs
-    assert main(["plot", "--input", str(run_dir / "trajectory.csv"),
-                 "--out", str(tmp_path / "p"), "--instants", "now"]) == 1
+    _, field_dir, run_dir, _ = sweep_outputs
+    out = tmp_path / "p"
+    for csv, instants in [("trajectory.csv", "now"), ("trajectory.csv", "nan"),
+                          ("trajectory.csv", "inf"), ("trajectory.csv", "1,nan"),
+                          ("trajectory.csv", "nan,inf,-inf"), ("field.csv", "0")]:
+        csv_dir = run_dir if csv == "trajectory.csv" else field_dir
+        assert main(["plot", "--input", str(csv_dir / csv), "--out", str(out),
+                     "--instants", instants]) == 1, instants
+        assert not out.exists()
+
+
+def test_plot_config_overlays_the_heatmap(tmp_path):
+    cfg = write_cfg(tmp_path)
+    assert main(["solve-field", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+    field_csv = str(tmp_path / "f" / "field.csv")
+    assert main(["plot", "--input", field_csv, "--out", str(tmp_path / "bare")]) == 0
+    assert main(["plot", "--input", field_csv, "--config", str(cfg),
+                 "--out", str(tmp_path / "overlaid")]) == 0
+    bare = (tmp_path / "bare" / "heatmap.svg").read_text()
+    overlaid = (tmp_path / "overlaid" / "heatmap.svg").read_text()
+    assert (bare.count('class="obstacle"'), bare.count('class="food"')) == (0, 0)
+    assert (overlaid.count('class="obstacle"'), overlaid.count('class="food"')) == (1, 1)
 
 
 def test_plot_empty_results_warns_but_succeeds(tmp_path, capsys):

@@ -12,6 +12,7 @@ from schoolsim.plots import (HEAT_STRETCH, MARGIN_PX, MAX_HEATMAP_CELLS, RAMP,
                              SOLID_COLOR, WorldTransform, pick_instants,
                              ramp_color, render_heatmap, render_success_curve,
                              render_trajectories, write_svg)
+from schoolsim.scent import read_field_csv, solve_field, write_field_csv
 
 HM_RE = re.compile(r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([\d.]+)" '
                    r'height="([\d.]+)" fill="#([0-9a-f]{6})" class="hm"/>')
@@ -93,17 +94,31 @@ def test_heatmap_block_colours_equal_per_block_means(field_config1_left, field_c
         assert re.findall(r'fill="(#[0-9a-f]{6})" class="(?:hm|solid)"', svg) == fills
 
 
-def test_heatmap_marks_obstacles_and_food(field_config2):
-    svg = render_heatmap(field_config2)
+def test_heatmap_marks_obstacles_and_food(config2, field_config2):
+    bare = render_heatmap(field_config2)
+    assert 'class="obstacle"' not in bare and 'class="food"' not in bare
+    svg = render_heatmap(field_config2, arena=config2.arena,
+                         food_center=config2.food.center)
     assert svg.count('class="obstacle"') == 1
     assert svg.count('class="food"') == 1
-    # At factor 1 the baffle's outline is the bounding box of its solid blocks.
+    # At factor 1 the baffle is drawn over the bounding box of its solid blocks.
     rect = r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" height="([\d.]+)" '
-    (outline,) = re.findall(rect + r'fill="none"[^>]* class="obstacle"/>', svg)
+    (baffle,) = re.findall(rect + f'fill="{SOLID_COLOR}" class="obstacle"/>', svg)
     solid = np.array(re.findall(rect + r'fill="[^"]+" class="solid"/>', svg), dtype=float)
     lo = solid[:, :2].min(axis=0)
     hi = (solid[:, :2] + solid[:, 2:]).max(axis=0)
-    assert [float(v) for v in outline] == pytest.approx([*lo, *(hi - lo)], abs=1e-9)
+    assert [float(v) for v in baffle] == pytest.approx([*lo, *(hi - lo)], abs=1e-9)
+
+
+@pytest.mark.parametrize("name, spacing", [("config2", 0.02), ("config3", 0.02),
+                                           ("config2", 0.01)])
+def test_heatmap_of_a_read_back_field_is_byte_identical(tmp_path, name, spacing):
+    cfg = builtin_config(name)
+    field = solve_field(cfg.arena, cfg.food, spacing=spacing)
+    path = tmp_path / "field.csv"
+    write_field_csv(field, path)
+    overlay = {"arena": cfg.arena, "food_center": cfg.food.center}
+    assert render_heatmap(read_field_csv(path), **overlay) == render_heatmap(field, **overlay)
 
 
 def test_heatmap_is_deterministic(field_config2):
