@@ -5,8 +5,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cs_components
 
 from .geometry import Vec2
 from .dynamics import SwarmState
@@ -84,19 +82,18 @@ def connected_components(state: SwarmState, delta: float = DEFAULT_COMPONENT_DEL
     """Number of components of each school's proximity graph: a 0-d array
     for an (N, 2) state, shape (B,) for a (B, N, 2) batch.
 
-    Fish are adjacent when their distance is strictly below delta.  All
-    schools go through one graph with a block per school, so no component
-    spans two schools; a school's count is its number of distinct labels.
+    Fish are adjacent when their distance is strictly below delta.  Squaring
+    the 0/1 contact matrix ceil(log2(N - 1)) times gives who reaches whom
+    (the sums are small integers, so exact); a fish starts a component when
+    no lower-numbered fish reaches it.
     """
     pos = state.positions
     n = pos.shape[-2]
     diff = pos[..., :, None, :] - pos[..., None, :, :]
-    s, i, j = np.nonzero(((diff * diff).sum(axis=-1) < delta * delta).reshape(-1, n, n))
-    fish = pos.size // 2
-    graph = csr_matrix((np.ones(s.size, bool), (s * n + i, s * n + j)), shape=(fish, fish))
-    _, labels = _cs_components(graph, directed=False)
-    labels = np.sort(labels.reshape(-1, n), axis=1)
-    return (1 + (np.diff(labels, axis=1) != 0).sum(axis=1)).reshape(pos.shape[:-2])
+    reach = ((diff * diff).sum(axis=-1) < delta * delta).astype(float)
+    for _ in range(math.ceil(math.log2(max(n - 1, 1)))):
+        reach = np.minimum(reach @ reach, 1)
+    return np.asarray((np.triu(reach, 1).sum(axis=-2) == 0).sum(axis=-1))
 
 
 def classify(state: SwarmState, classifier: Classifier) -> OutcomeState | np.ndarray:

@@ -5,7 +5,9 @@ The scent concentration U satisfies a screened diffusion balance
 zero-flux (no-leak) conditions on the tank walls and obstacle faces.
 Discretization is the standard 5-point stencil on cell centers with
 ghost-cell closure for the zero-flux faces; the resulting symmetric
-positive-definite system is solved by conjugate gradients.
+positive-definite system is solved by a conjugate-gradient loop that
+repeats scipy's ``cg`` operation for operation.  scipy supplies only the
+CSR matrix-vector product.
 
 The source f is ``food.density`` inside the food disc and 0 elsewhere,
 sampled at cell centers.
@@ -17,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from . import tables
 from .geometry import Arena, Vec2, contains_many
@@ -244,16 +245,27 @@ def _solve_linear(fluid, f, food, h):
     if b_norm == 0.0:
         return values, 0.0, 0
 
+    # scipy's unpreconditioned cg, op for op, so both round alike; the dots
+    # go through BLAS and round with its thread count.  The reaction-limit
+    # guess b/a is exact for constant sources and a reasonable start otherwise.
+    x = b / a
+    r = b - A @ x
     iters = 0
-
-    def count(_):
-        nonlocal iters
+    while iters < 50 * max(fluid.shape):
+        rho = r @ r
+        if np.sqrt(rho) < TARGET_RTOL * b_norm:
+            break
+        if iters:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = A @ p
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
         iters += 1
-
-    # The reaction-limit guess b/a is exact for constant sources and a
-    # reasonable start otherwise.
-    x, _info = cg(A, b, x0=b / a, rtol=TARGET_RTOL, atol=0.0,
-                  maxiter=50 * max(fluid.shape), callback=count)
     residual = float(np.linalg.norm(b - A @ x) / b_norm)
     if residual > CONTRACT_RTOL:
         raise FieldSolveError(

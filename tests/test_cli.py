@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy
 import pytest
@@ -458,6 +462,18 @@ def test_usage_errors_exit_1(tmp_path):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "solve-field" in capsys.readouterr().out
+
+
+def test_no_command_loads_scipys_solvers_or_graph_routines():
+    # A fresh interpreter, since the scent and metrics tests import both
+    # subpackages as oracles.
+    probe = ("import sys, schoolsim, schoolsim.cli, schoolsim.experiment, schoolsim.plots; "
+             "print([m for m in ('scipy.sparse.linalg', 'scipy.sparse.csgraph') "
+             "if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_runtime_blowup_exits_2(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schoolsim.dynamics import SwarmState
 from schoolsim.geometry import Vec2
@@ -124,12 +124,59 @@ def test_components_match_union_find_oracle():
         for delta in (0.05, 0.15, 0.3, 0.8):
             assert connected_components(state(pts), delta) == \
                 brute_components(pts, delta)
-    # and on stacked batches: one graph for all schools, one count each
+    # and on stacked batches: one count per school
     for n in (2, 5, 17):
         stacked = rng.uniform(0, 2, size=(6, n, 2))
         for delta in (0.05, 0.3, 0.8):
             got = connected_components(state(stacked), delta)
             assert got.tolist() == [brute_components(p, delta) for p in stacked]
+
+
+def csgraph_components(pts, delta):
+    from scipy.sparse.csgraph import connected_components as graph_components
+
+    diff = pts[:, None, :] - pts[None, :, :]
+    return graph_components((diff * diff).sum(axis=-1) < delta * delta, directed=False)[0]
+
+
+# A power of two, so fish on multiples of it are exactly DELTA apart.
+DELTA = 0.25
+
+
+def layout(kind, n, rng):
+    """n fish in a shuffled order, and the count the layout must give."""
+    if kind == "scatter":
+        pts, want = rng.uniform(0, rng.uniform(0.1, 3.0), size=(n, 2)), None
+    elif kind == "chain":  # the longest path: needs every squaring
+        angle = rng.uniform(0, 2 * np.pi)
+        step = 0.999 * DELTA * np.array([np.cos(angle), np.sin(angle)])
+        pts, want = rng.uniform(-1, 1, size=2) + np.arange(n)[:, None] * step, 1
+    elif kind == "exact":  # neighbours exactly DELTA apart are not in contact
+        pts, want = np.stack((np.arange(n) * DELTA, np.full(n, 3.0)), axis=1), n
+    else:  # coincident fish on sites far apart
+        site = rng.integers(0, rng.integers(1, n + 1), size=n)
+        pts, want = np.stack((site * 10.0, np.zeros(n)), axis=1), np.unique(site).size
+    return pts[rng.permutation(n)], want
+
+
+LAYOUTS = ("scatter", "chain", "exact", "coincident")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kinds=st.lists(st.sampled_from(LAYOUTS), min_size=1, max_size=6),
+       n=st.integers(2, 24), seed=st.integers(0, 2**32 - 1))
+@example(kinds=list(LAYOUTS), n=2, seed=0)
+@example(kinds=["chain", "chain"], n=24, seed=1)
+def test_components_match_csgraph(kinds, n, seed):
+    rng = np.random.default_rng(seed)
+    schools, wants = zip(*(layout(kind, n, rng) for kind in kinds))
+    got = connected_components(state(np.stack(schools)), DELTA)
+    assert got.shape == (len(kinds),)
+    for k, (pts, want) in enumerate(zip(schools, wants)):
+        alone = connected_components(state(pts), DELTA)
+        assert alone.shape == ()
+        assert got[k] == alone == csgraph_components(pts, DELTA)
+        assert want is None or alone == want
 
 
 def test_components_of_a_batch_with_different_counts():

@@ -11,8 +11,9 @@ from scipy import sparse
 from schoolsim.dynamics import ForceBlowUpError, SwarmState, step
 from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
 from schoolsim.experiment import builtin_config
-from schoolsim.scent import (FoodSpec, GridError, _operator, read_field_csv,
-                             sample_gradient_many, sample_value_many,
+from schoolsim import scent
+from schoolsim.scent import (TARGET_RTOL, FieldSolveError, FoodSpec, GridError, _operator,
+                             read_field_csv, sample_gradient_many, sample_value_many,
                              solve_field, write_field_csv)
 
 
@@ -222,6 +223,62 @@ def test_solve_field_peak_memory(config2):
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
+
+
+def random_obstacle_arena():
+    """A 20x20 grid at spacing 0.05 with one-cell obstacles on a random
+    fifth of the cells that keep clear of the food disc at (0.15, 0.15)."""
+    rng = np.random.default_rng(3)
+    cells = [(i, j) for i in range(20) for j in range(20) if max(i, j) >= 6]
+    picked = rng.choice(len(cells), size=80, replace=False)
+    h = 0.05
+    return Arena(rect(0, 0, 1, 1), tuple(
+        rect(i * h, j * h, (i + 1) * h, (j + 1) * h) for i, j in (cells[k] for k in picked)))
+
+
+def scipy_cg(field, food):
+    """The field and iteration count of scipy's cg on the same system."""
+    from scipy.sparse.linalg import cg
+
+    fluid, a = field.fluid, food.decay
+    A = _operator(fluid, a, food.diffusion / field.spacing**2)
+    b = field.source[fluid]
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    x, _info = cg(A, b, x0=b / a, rtol=TARGET_RTOL, atol=0.0,
+                  maxiter=50 * max(fluid.shape), callback=count)
+    values = np.zeros(fluid.shape)
+    values[fluid] = x
+    return values, iters
+
+
+@pytest.mark.parametrize("name", ["config1_left", "config2", "config3", "random-obstacles"])
+def test_cg_loop_matches_scipy_cg_bit_for_bit(name, request):
+    # Whatever the BLAS thread count, the loop rounds as scipy's cg does.
+    if name == "random-obstacles":
+        food = FoodSpec(center=Vec2(0.15, 0.15), radius=0.1)
+        field = solve_field(random_obstacle_arena(), food, spacing=0.05)
+        assert 0 < field.fluid.sum() < field.fluid.size
+    else:
+        food = request.getfixturevalue(name).food
+        field = request.getfixturevalue(f"field_{name}")
+    values, iters = scipy_cg(field, food)
+    assert field.iterations == iters
+    assert field.values.tobytes() == values.tobytes()
+
+
+def test_a_stalled_solve_raises_with_its_residual_and_iterations(monkeypatch):
+    field = solve_field(SMALL_TANK, SMALL_FOOD, spacing=0.05)
+    assert field.residual > 0
+    monkeypatch.setattr(scent, "CONTRACT_RTOL", field.residual / 2)
+    with pytest.raises(FieldSolveError) as err:
+        solve_field(SMALL_TANK, SMALL_FOOD, spacing=0.05)
+    assert (f"relative residual {field.residual:.3e} after {field.iterations} iterations"
+            in str(err.value))
 
 
 def test_grid_convergence_on_production_arena(config1_left):
