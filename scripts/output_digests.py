@@ -8,7 +8,7 @@ and every file it writes except ``manifest.json`` (which holds paths) is
 hashed.  The CSVs of the cases in PLOTTED are then drawn by ``plot``, and
 its SVG is hashed too.  The JSON also records the environment that
 ``manifest.json`` records (the BLAS thread variables, the CPU count and the
-numpy and scipy versions), because the CG solve, and with it every field
+numpy version), because the CG solve, and with it every field
 and trajectory, rounds differently with another thread count.  Two
 checkouts wrote the same bytes when their JSON files are identical, so
 comparing a change with its parent is two runs in the same environment and

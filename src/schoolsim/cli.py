@@ -25,7 +25,6 @@ import time
 from pathlib import Path
 
 import numpy
-import scipy
 
 from . import __version__, tables
 from .config import ConfigError, RunSpec, SweepSpec, config_to_dict, parse_config
@@ -111,7 +110,7 @@ def run_environment() -> dict:
     return {"thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count(),
-            "numpy": numpy.__version__, "scipy": scipy.__version__}
+            "numpy": numpy.__version__}
 
 
 def _write_manifest(args, path, overrides, spec, **flags):

@@ -6,8 +6,9 @@ zero-flux (no-leak) conditions on the tank walls and obstacle faces.
 Discretization is the standard 5-point stencil on cell centers with
 ghost-cell closure for the zero-flux faces; the resulting symmetric
 positive-definite system is solved by a conjugate-gradient loop that
-repeats scipy's ``cg`` operation for operation.  scipy supplies only the
-CSR matrix-vector product.
+repeats scipy's ``cg`` operation for operation, with a matrix-free
+stencil product that rounds as scipy's CSR product does.  numpy is the
+only dependency.
 
 The source f is ``food.density`` inside the food disc and 0 elsewhere,
 sampled at cell centers.
@@ -15,10 +16,9 @@ sampled at cell centers.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
-from scipy import sparse
 
 from . import tables
 from .geometry import Arena, Vec2, contains_many
@@ -28,6 +28,8 @@ GRID_TOL = 1e-9
 # Residual the solver aims for, and the level it must reach not to error.
 TARGET_RTOL = 1e-12
 CONTRACT_RTOL = 1e-8
+# Rows per block of the stencil matvec, whose slices then stay in L2 cache.
+BLOCK_ROWS = 32768
 
 
 class GridError(ValueError):
@@ -209,47 +211,80 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
 
 
 def _operator(fluid, a, w):
-    """The masked 5-point matrix over the fluid cells in C order, written
-    straight into CSR: ``a + w * degree`` on the diagonal, ``-w`` per link."""
+    """The masked 5-point matrix over the fluid cells in C order as a matvec
+    ``A(p)``, which returns ``A @ p`` in a buffer of its own.  Each row adds
+    its W (i-1, j), S (i, j-1), centre, N (i, j+1) and E (i+1, j) terms in
+    that order from +0.0, as a column-sorted CSR row does, which fixes CG's
+    rounding and every digest after it; do not reorder.  Interior rows read
+    their terms as slices of ``-w * p`` and ``(a + 4w) * p``.  Rows by a wall
+    or an obstacle, or where the W-E index offset changes, are summed again
+    from tables in which a missing link weighs 0: its signed zero leaves a
+    sum started at +0.0 unchanged."""
     nx, ny = fluid.shape
     n = int(fluid.sum())
-    idx = np.full((nx + 2, ny + 2), -1, dtype=np.int32)
-    idx[1:-1, 1:-1][fluid] = np.arange(n, dtype=np.int32)
-    # Columns W (i-1, j), S (i, j-1), centre, N (i, j+1), E (i+1, j): in C
-    # order that is ascending, so each row is stored sorted, as a COO to CSR
-    # conversion would store it.  The matvec sums a row in stored order,
-    # which fixes CG's rounding and with it the field, every trajectory and
-    # every digest taken of them; do not reorder.
-    cols = np.empty((n, 5), dtype=np.int32)
-    for k, (di, dj) in enumerate(((0, 1), (1, 0), (1, 1), (1, 2), (2, 1))):
-        cols[:, k] = idx[di:di + nx, dj:dj + ny][fluid]
-    link = cols >= 0
-    count = link.sum(axis=1, dtype=np.int32)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(count, out=indptr[1:])
-    indices = cols[link]
-    data = np.full(indices.size, -w)
-    data[indptr[:-1] + link[:, 0] + link[:, 1]] = a + w * (count - 1.0)
-    return sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    idx = np.full((nx + 2, ny), -1, dtype=np.int32)
+    idx[1:-1][fluid] = np.arange(n, dtype=np.int32)
+    west, east = idx[:-2][fluid], idx[2:][fluid]
+    north = np.pad(fluid[:, 1:], ((0, 0), (0, 1)))[fluid]
+    links = np.stack((west >= 0, np.pad(north[:-1], (1, 0)), north, east >= 0))
+    cells = np.flatnonzero(west >= 0)
+    offset = cells - west[cells]
+    first = np.flatnonzero(np.diff(offset, prepend=-1))
+    # Runs of cells whose W neighbour lies at one index offset; the cells
+    # before the first W link form a run of offset 0.
+    heads = [0] + cells[first].tolist()
+    runs = list(zip(heads, heads[1:] + [n], [0] + offset[first].tolist()))
+    reach = np.zeros(n, dtype=np.int8)  # how many runs' E terms reach each row
+    for s, e, d in runs:
+        reach[s - d:e - d] += d > 0
+    fix = np.flatnonzero(~links.all(axis=0) | (reach != 1))
+    has = np.insert(links[:, fix], 2, True, axis=0)
+    nbr = np.where(has, np.stack((west[fix], fix - 1, fix, fix + 1, east[fix])), fix)
+    coef = np.where(has, -w, 0.0)
+    coef[2] = a + w * links[:, fix].sum(axis=0)
+
+    # (start, shift into -w * p or None for the centre, first row, end row):
+    # W adds its term to +0.0, and each later term to the row's sum so far.
+    out, wp, tmp = np.empty(n), np.empty(n), np.empty(min(n, BLOCK_ROWS))
+    terms = []
+    for b0 in range(0, n, BLOCK_ROWS):
+        b1 = min(b0 + BLOCK_ROWS, n)
+        block = ([(0.0, -d, max(s, b0), min(e, b1)) for s, e, d in runs]
+                 + [(None, -1, max(b0, 1), b1), (None, None, b0, b1),
+                    (None, 1, b0, min(b1, n - 1))]
+                 + [(None, d, max(s - d, b0), min(e - d, b1)) for s, e, d in runs if d])
+        terms += [(slice(lo, hi) if shift is None else wp[lo + shift:hi + shift],
+                   out[lo:hi] if start is None else start, out[lo:hi])
+                  for start, shift, lo, hi in block if lo < hi]
+
+    def matvec(p):
+        np.multiply(p, -w, out=wp)
+        for term, start, rows in terms:
+            if isinstance(term, slice):  # the centre, scaled in scratch
+                term = np.multiply(p[term], a + 4 * w, out=tmp[:rows.size])
+            np.add(start, term, out=rows)
+        out[fix] = reduce(np.add, coef * p[nbr], 0.0)
+        return out
+    return matvec
 
 
 def _solve_linear(fluid, f, food, h):
     """Assemble and CG-solve the masked 5-point system.  Returns
     (values, relative residual, iterations)."""
     a = food.decay
-    A = _operator(fluid, a, food.diffusion / h**2)
-
     b = f[fluid]
-    values = np.zeros(fluid.shape)
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return values, 0.0, 0
+        return np.zeros(fluid.shape), 0.0, 0
+    A = _operator(fluid, a, food.diffusion / h**2)
 
     # scipy's unpreconditioned cg, op for op, so both round alike; the dots
     # go through BLAS and round with its thread count.  The reaction-limit
     # guess b/a is exact for constant sources and a reasonable start otherwise.
     x = b / a
-    r = b - A @ x
+    r = b - A(x)
+    del b
+    step = np.empty_like(r)
     iters = 0
     while iters < 50 * max(fluid.shape):
         rho = r @ r
@@ -260,18 +295,19 @@ def _solve_linear(fluid, f, food, h):
             p += r
         else:
             p = r.copy()
-        q = A @ p
+        q = A(p)
         alpha = rho / (p @ q)
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
         iters += 1
-    residual = float(np.linalg.norm(b - A @ x) / b_norm)
+    residual = float(np.linalg.norm(np.subtract(f[fluid], A(x), out=r)) / b_norm)
     if residual > CONTRACT_RTOL:
         raise FieldSolveError(
             f"scent solve stalled at relative residual {residual:.3e} "
             f"after {iters} iterations (required {CONTRACT_RTOL})"
         )
+    values = np.zeros(fluid.shape)
     values[fluid] = x
     return values, residual, iters
 

@@ -171,60 +171,6 @@ def fluid_mask(arena, h):
     return contains_many(arena, pts).reshape(xg.shape)
 
 
-OPERATOR_ARENAS = {
-    "shared-edge": (Arena(rect(0, 0, 1, 1), (rect(0.2, 0.2, 0.5, 0.7),
-                                             rect(0.5, 0.3, 0.8, 0.5))), 0.05),
-    "flush-corner": (Arena(rect(0, 0, 1, 1), (rect(0, 0, 0.3, 0.4),)), 0.05),
-    "one-cell-channel": (Arena(rect(0, 0, 1, 1), (rect(0, 0.4, 0.4, 0.6),
-                                                  rect(0.5, 0.4, 1, 0.6))), 0.1),
-}
-
-
-@pytest.mark.parametrize("case", [f"{name}@{h}" for name in ("config1-left", "config2", "config3")
-                                  for h in (0.02, 0.05, 0.1)] + list(OPERATOR_ARENAS))
-def test_operator_matches_coo_assembly_byte_for_byte(case):
-    # The CSR row order fixes CG's rounding, so equal values are not enough.
-    if "@" in case:
-        name, h = case.split("@")
-        cfg = builtin_config(name)
-        arena, food, h = cfg.arena, cfg.food, float(h)
-    else:
-        (arena, h), food = OPERATOR_ARENAS[case], SMALL_FOOD
-    fluid = fluid_mask(arena, h)
-    a, w = food.decay, food.diffusion / h**2
-    got, want = _operator(fluid, a, w), reference_operator(fluid, a, w)
-    assert got.shape == want.shape
-    for part in ("indptr", "indices", "data"):
-        g, r = getattr(got, part), getattr(want, part)
-        assert g.dtype == r.dtype, part
-        assert g.tobytes() == r.tobytes(), part
-
-
-def test_one_cell_channel_cells_have_two_links():
-    arena, h = OPERATOR_ARENAS["one-cell-channel"]
-    fluid = fluid_mask(arena, h)
-    assert fluid[:, 4:6].sum() == 2 and fluid[4, 4:6].all()
-    A = _operator(fluid, 0.2, 10.0)
-    k = int(fluid.ravel()[:4 * fluid.shape[1] + 4].sum())  # cell (4, 4)
-    row = slice(A.indptr[k], A.indptr[k + 1])
-    assert list(A.indices[row]) == [k - 1, k, k + 1]  # S, centre, N
-    assert list(A.data[row]) == [-10.0, 0.2 + 10.0 * 2, -10.0]
-
-
-def test_solve_field_peak_memory(config2):
-    # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
-    # on every run.  The operator (2.3 MiB here) and the CG vectors should
-    # dominate (5.0 MiB in all), with no assembly scaffolding or coordinate
-    # grid alive next to them.
-    tracemalloc.start()
-    try:
-        solve_field(config2.arena, config2.food, spacing=0.02)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.5 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
-
-
 def random_obstacle_arena():
     """A 20x20 grid at spacing 0.05 with one-cell obstacles on a random
     fifth of the cells that keep clear of the food disc at (0.15, 0.15)."""
@@ -236,12 +182,88 @@ def random_obstacle_arena():
         rect(i * h, j * h, (i + 1) * h, (j + 1) * h) for i, j in (cells[k] for k in picked)))
 
 
+OPERATOR_ARENAS = {
+    "shared-edge": (Arena(rect(0, 0, 1, 1), (rect(0.2, 0.2, 0.5, 0.7),
+                                             rect(0.5, 0.3, 0.8, 0.5))), 0.05),
+    "flush-corner": (Arena(rect(0, 0, 1, 1), (rect(0, 0, 0.3, 0.4),)), 0.05),
+    "one-cell-channel": (Arena(rect(0, 0, 1, 1), (rect(0, 0.4, 0.4, 0.6),
+                                                  rect(0.5, 0.4, 1, 0.6))), 0.1),
+    "random-obstacles": (random_obstacle_arena(), 0.05),
+}
+
+
+def signed_zero_vector(fluid):
+    """A vector over the fluid cells with negatives, +0.0 and -0.0, and the
+    index of a cell whose whole stencil is zero with -0.0 at its centre:
+    each product in its row is -0.0, and a row summed from +0.0 gives +0.0."""
+    n = int(fluid.sum())
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(n)
+    v[rng.random(n) < 0.2] = 0.0
+    v[rng.random(n) < 0.2] = -0.0
+    idx = np.full(np.add(fluid.shape, 2), -1)
+    idx[1:-1, 1:-1][fluid] = np.arange(n)
+    i, j = np.argwhere(fluid)[n // 2] + 1
+    links = idx[[i - 1, i, i, i + 1], [j, j - 1, j + 1, j]]
+    v[links[links >= 0]] = 0.0  # times -w gives -0.0
+    v[idx[i, j]] = -0.0
+    return v, idx[i, j]
+
+
+@pytest.mark.parametrize("case", [f"{name}@{h}" for name in ("config1-left", "config2", "config3")
+                                  for h in (0.02, 0.05, 0.1)] + list(OPERATOR_ARENAS))
+def test_operator_matches_coo_assembly_byte_for_byte(case, monkeypatch):
+    # The order in which a row is summed fixes CG's rounding, so equal
+    # values are not enough.  64 rows a block cuts columns and runs.
+    if "@" in case:
+        name, h = case.split("@")
+        cfg = builtin_config(name)
+        arena, food, h = cfg.arena, cfg.food, float(h)
+    else:
+        (arena, h), food = OPERATOR_ARENAS[case], SMALL_FOOD
+    fluid = fluid_mask(arena, h)
+    a, w = food.decay, food.diffusion / h**2
+    v, k = signed_zero_vector(fluid)
+    want = reference_operator(fluid, a, w) @ v
+    assert want[k] == 0.0 and not np.signbit(want[k])
+    for block in (scent.BLOCK_ROWS, 64):
+        monkeypatch.setattr(scent, "BLOCK_ROWS", block)
+        got = _operator(fluid, a, w)(v)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), block
+
+
+def test_one_cell_channel_cells_have_two_links():
+    arena, h = OPERATOR_ARENAS["one-cell-channel"]
+    fluid = fluid_mask(arena, h)
+    assert fluid[:, 4:6].sum() == 2 and fluid[4, 4:6].all()
+    A = _operator(fluid, 0.2, 10.0)
+    k = int(fluid.ravel()[:4 * fluid.shape[1] + 4].sum())  # cell (4, 4)
+    row = np.array([A(e)[k] for e in np.eye(fluid.sum())])
+    assert list(np.flatnonzero(row)) == [k - 1, k, k + 1]  # S, centre, N
+    assert list(row[k - 1:k + 2]) == [-10.0, 0.2 + 10.0 * 2, -10.0]
+
+
+def test_solve_field_peak_memory(config2):
+    # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
+    # on every run.  Six vectors over the fluid cells (1.7 MiB here: the
+    # CG's four, -w * p and the matvec's output) and the stencil's index
+    # tables while they are built should dominate (2.8 MiB in all), with no
+    # coordinate grid alive next to them.
+    tracemalloc.start()
+    try:
+        solve_field(config2.arena, config2.food, spacing=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.15 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
+
+
 def scipy_cg(field, food):
     """The field and iteration count of scipy's cg on the same system."""
     from scipy.sparse.linalg import cg
 
     fluid, a = field.fluid, food.decay
-    A = _operator(fluid, a, food.diffusion / field.spacing**2)
+    A = reference_operator(fluid, a, food.diffusion / field.spacing**2)
     b = field.source[fluid]
     iters = 0
 
