@@ -9,7 +9,6 @@ batch size: the trials of a shard are stepped together as one batch.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 
@@ -203,6 +202,8 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
     shard_seeds = [row[block].tolist() for row in seeds for block in blocks]
     run = partial(run_trials, field=field)
     if parallelism > 1:
+        # Imported here: the pool's modules cost every process about 2 MB.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             shards = list(pool.map(run, configs, shard_seeds))
     else:

@@ -60,11 +60,17 @@ class WorldTransform:
                 MARGIN_PX + (self._y1 - y) * self.scale)
 
 
-def _svg_open(width, height, parts):
-    parts.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(width)}" '
-        f'height="{_num(height)}" viewBox="0 0 {_num(width)} {_num(height)}">')
-    parts.append(f'<rect width="{_num(width)}" height="{_num(height)}" fill="#ffffff"/>')
+def _svg_open(width, height):
+    """A chart's first parts: the svg element and its white background."""
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(width)}" '
+            f'height="{_num(height)}" viewBox="0 0 {_num(width)} {_num(height)}">',
+            f'<rect width="{_num(width)}" height="{_num(height)}" fill="#ffffff"/>']
+
+
+def _svg_close(parts):
+    """The document: the parts one per line, then the closing tag and a newline."""
+    parts += ("</svg>", "")
+    return "\n".join(parts)
 
 
 def _rect_el(x, y, w, h, fill, extra=""):
@@ -113,26 +119,28 @@ def render_heatmap(field: ScentField, arena: Arena | None = None,
         sums += vals[di::factor, dj::factor]
         counts += fluid[di::factor, dj::factor]
 
-    parts = []
-    _svg_open(tf.width, tf.height, parts)
-    for (bi, bj), count in np.ndenumerate(counts):
-        i0, i1 = bi * factor, min((bi + 1) * factor, nx)
-        j0, j1 = bj * factor, min((bj + 1) * factor, ny)
-        if count:
-            mean = float(sums[bi, bj] / count)
-            t = (mean / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
-            fill = ramp_color(t)
-            cls = ' class="hm"'
-        else:
-            fill = SOLID_COLOR
-            cls = ' class="solid"'
-        px, py = tf.to_px(ox + i0 * h, oy + j1 * h)
-        parts.append(_rect_el(px, py, (i1 - i0) * h * tf.scale, (j1 - j0) * h * tf.scale,
-                              fill, cls))
+    parts = _svg_open(tf.width, tf.height)
+    for bi, row in enumerate(counts):
+        blocks = []
+        for bj, count in enumerate(row):
+            i0, i1 = bi * factor, min((bi + 1) * factor, nx)
+            j0, j1 = bj * factor, min((bj + 1) * factor, ny)
+            if count:
+                mean = float(sums[bi, bj] / count)
+                t = (mean / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
+                fill = ramp_color(t)
+                cls = ' class="hm"'
+            else:
+                fill = SOLID_COLOR
+                cls = ' class="solid"'
+            px, py = tf.to_px(ox + i0 * h, oy + j1 * h)
+            blocks.append(_rect_el(px, py, (i1 - i0) * h * tf.scale, (j1 - j0) * h * tf.scale,
+                                   fill, cls))
+        # One string per row of blocks: no string per block outlives its row.
+        parts.append("\n".join(blocks))
 
     _overlay(tf, parts, arena, food_center)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_close(parts)
 
 
 def pick_instants(times, requested=None):
@@ -175,8 +183,7 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
     frame = _rect_el(MARGIN_PX, MARGIN_PX, tf.width - 2 * MARGIN_PX,
                      tf.height - 2 * MARGIN_PX, "none", ' stroke="#000000" stroke-width="1"')
 
-    parts = []
-    _svg_open(total_w, total_h, parts)
+    parts = _svg_open(total_w, total_h)
     for slot, idx in enumerate(idxs):
         state = samples[idx]
         dx = (slot % cols) * tf.width
@@ -193,8 +200,7 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
                      f'font-family="sans-serif" font-size="12" text-anchor="middle">'
                      f't = {state.time:g}</text>')
         parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_close(parts)
 
 
 def render_success_curve(results) -> str | None:
@@ -215,8 +221,7 @@ def render_success_curve(results) -> str | None:
     def to_px(n, prob):
         return (m + (n - n_lo) / span * plot_w, m + (1.0 - prob) * plot_h)
 
-    parts = []
-    _svg_open(px_width, px_height, parts)
+    parts = _svg_open(px_width, px_height)
     parts.append(f'<rect x="{_num(m)}" y="{_num(m)}" width="{_num(plot_w)}" '
                  f'height="{_num(plot_h)}" fill="none" stroke="#000000" stroke-width="1"/>')
     for frac in (0.25, 0.5, 0.75):
@@ -247,8 +252,7 @@ def render_success_curve(results) -> str | None:
     parts.append(f'<text x="14" y="{_num(px_height / 2)}" font-family="sans-serif" '
                  f'font-size="12" text-anchor="middle" '
                  f'transform="rotate(-90 14 {_num(px_height / 2)})">success probability</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_close(parts)
 
 
 def write_svg(text: str, path, force=False):

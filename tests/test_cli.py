@@ -464,15 +464,28 @@ def test_help_exits_0(capsys):
     assert "solve-field" in capsys.readouterr().out
 
 
-def test_no_command_loads_scipy():
-    # A fresh interpreter, since the scent and metrics tests import scipy's
-    # sparse matrices, solvers and graph routines as oracles.
+def fresh_modules():
+    """The modules a fresh interpreter holds once it has imported schoolsim
+    and the modules of every command."""
     probe = ("import sys, schoolsim, schoolsim.cli, schoolsim.experiment, schoolsim.plots; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             "print(*sorted(sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.split()
+
+
+def test_no_command_loads_scipy():
+    # A fresh interpreter, since the scent and metrics tests import scipy's
+    # sparse matrices, solvers and graph routines as oracles.
+    assert [m for m in fresh_modules() if m.split(".")[0] == "scipy"] == []
+
+
+def test_no_command_loads_the_process_pool():
+    # Only a sweep with more than one job needs the pool, and it imports it
+    # itself; at import time its modules would cost every process about 2 MB.
+    assert [m for m in fresh_modules() if m == "concurrent.futures.process"
+            or m.split(".")[0] == "multiprocessing"] == []
 
 
 def test_runtime_blowup_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """SVG rendering: heatmap fidelity, panel counts, curve output, determinism."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,19 @@ def test_heatmap_block_budget(field_config1_left, field_config2):
     svg = render_heatmap(field_config2)
     assert len(HM_RE.findall(svg)) + svg.count('class="solid"') == MAX_HEATMAP_CELLS
     assert svg.count('class="solid"') == 25 * 75
+
+
+def test_heatmap_peak_memory(field_config2):
+    # Built one row of blocks at a time, the heatmap holds its row strings
+    # and the joined document at its peak (about 2.3x the document), not a
+    # string per block and a copy of the document besides (4x).
+    tracemalloc.start()
+    try:
+        svg = render_heatmap(field_config2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(svg), f"render_heatmap peaked at {peak / len(svg):.2f}x its output"
 
 
 def reference_block_fills(field):
