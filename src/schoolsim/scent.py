@@ -92,23 +92,22 @@ class ScentField:
     def _stencil(self):
         """Sampling tables, built on first use.
 
-        ``values`` and ``grad`` padded by two solid cells on every side
-        and flattened; the fluid flags of the 2x2 stencil whose low corner
-        is each padded cell; the flat offsets of its four corners; and the
-        origin, the clip range of the low corner and its flat strides.
-        Clipping the low corner into [-2, n] maps every stencil that
-        leaves the grid onto solid padding, as the unpadded grid would.
+        The flat cell index of the grid padded by two solid cells on every
+        side, 0 on the padding; the fluid flags of the 2x2 stencil whose low
+        corner is each padded cell; the flat offsets of its four corners; and
+        the origin, the clip range of the low corner and its flat strides.
+        Clipping the low corner into [-2, n] maps every stencil that leaves
+        the grid onto solid padding, as the unpadded grid would.
         """
         pad = ((2, 2), (2, 2))
         fluid = np.pad(self.fluid, pad).ravel()
+        index = np.pad(np.arange(self.nx * self.ny).reshape(self.nx, self.ny), pad).ravel()
         strides = np.array([self.ny + 4, 1])
         corners = np.array([0, strides[0], 1, strides[0] + 1])
         mask = np.zeros((fluid.size, 4), dtype=bool)
         for c, off in enumerate(corners):
             mask[:fluid.size - off, c] = fluid[off:]
-        return (np.pad(self.values, pad).ravel(),
-                np.pad(self.grad, pad + ((0, 0),)).reshape(-1, 2),
-                mask, corners, np.array(self.origin, dtype=float),
+        return (index, mask, corners, np.array(self.origin, dtype=float),
                 np.array([self.nx, self.ny]), strides, 2 * strides.sum())
 
 
@@ -155,9 +154,10 @@ def _fluid_and_source(arena: Arena, food: FoodSpec, h: float, nx: int, ny: int, 
     """Fluid mask and emission on the cell centres.  The coordinate grids
     die on return, so none of them is alive during the solve."""
     b = arena.bounds
-    xg, yg = np.meshgrid(b.lo.x + (np.arange(nx) + 0.5) * h,
-                         b.lo.y + (np.arange(ny) + 0.5) * h, indexing="ij")
-    fluid = contains_many(arena, np.stack((xg, yg), axis=-1).reshape(-1, 2)).reshape(nx, ny)
+    xy = np.stack(np.broadcast_arrays(b.lo.x + (np.arange(nx)[:, None] + 0.5) * h,
+                                      b.lo.y + (np.arange(ny) + 0.5) * h), axis=-1)
+    xg, yg = xy[..., 0], xy[..., 1]
+    fluid = contains_many(arena, xy.reshape(-1, 2)).reshape(nx, ny)
     if source is None:
         d2 = (xg - food.center.x) ** 2 + (yg - food.center.y) ** 2
         f = np.where(d2 <= food.radius**2, food.density, 0.0)
@@ -194,14 +194,15 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
     fluid, f = _fluid_and_source(arena, food, h, nx, ny, source)
     values, residual, iterations = _solve_linear(fluid, f, food, h)
 
-    # Central differences where both axis neighbors are fluid; the
-    # component normal to a boundary-adjacent face stays zero, matching
-    # the zero-flux closure.
+    # Central differences where both axis neighbors are fluid; the component
+    # normal to a boundary-adjacent face is +0.0, matching the zero-flux
+    # closure, and the sampler's off-grid corners read cell (0, 0)'s.
     grad = np.zeros((nx, ny, 2))
     inv2h = 1.0 / (2.0 * h)
     for axis in (0, 1):
         v, fl, g = (np.moveaxis(x, axis, 0) for x in (values, fluid, grad[:, :, axis]))
-        g[1:-1] = np.where(fl[1:-1] & fl[2:] & fl[:-2], (v[2:] - v[:-2]) * inv2h, 0.0)
+        np.multiply(np.subtract(v[2:], v[:-2], out=g[1:-1]), inv2h, out=g[1:-1])
+        g[1:-1][~(fl[1:-1] & fl[2:] & fl[:-2])] = 0.0
 
     b = arena.bounds
     return ScentField(
@@ -225,15 +226,17 @@ def _operator(fluid, a, w):
     idx = np.full((nx + 2, ny), -1, dtype=np.int32)
     idx[1:-1][fluid] = np.arange(n, dtype=np.int32)
     west, east = idx[:-2][fluid], idx[2:][fluid]
+    del idx
     north = np.pad(fluid[:, 1:], ((0, 0), (0, 1)))[fluid]
     links = np.stack((west >= 0, np.pad(north[:-1], (1, 0)), north, east >= 0))
-    cells = np.flatnonzero(west >= 0)
+    cells = np.arange(n, dtype=np.int32)[west >= 0]
     offset = cells - west[cells]
     first = np.flatnonzero(np.diff(offset, prepend=-1))
     # Runs of cells whose W neighbour lies at one index offset; the cells
     # before the first W link form a run of offset 0.
     heads = [0] + cells[first].tolist()
     runs = list(zip(heads, heads[1:] + [n], [0] + offset[first].tolist()))
+    del cells, offset, first
     reach = np.zeros(n, dtype=np.int8)  # how many runs' E terms reach each row
     for s, e, d in runs:
         reach[s - d:e - d] += d > 0
@@ -265,6 +268,7 @@ def _operator(fluid, a, w):
             np.add(start, term, out=rows)
         out[fix] = reduce(np.add, coef * p[nbr], 0.0)
         return out
+    matvec.scratch = wp  # free from the end of one product to the start of the next
     return matvec
 
 
@@ -284,7 +288,7 @@ def _solve_linear(fluid, f, food, h):
     x = b / a
     r = b - A(x)
     del b
-    step = np.empty_like(r)
+    step = A.scratch
     iters = 0
     while iters < 50 * max(fluid.shape):
         rho = r @ r
@@ -301,7 +305,9 @@ def _solve_linear(fluid, f, food, h):
         r -= np.multiply(alpha, q, out=step)
         rho_prev = rho
         iters += 1
+    p = q = None  # neither exists if the loop never ran
     residual = float(np.linalg.norm(np.subtract(f[fluid], A(x), out=r)) / b_norm)
+    del A, step
     if residual > CONTRACT_RTOL:
         raise FieldSolveError(
             f"scent solve stalled at relative residual {residual:.3e} "
@@ -313,24 +319,27 @@ def _solve_linear(fluid, f, food, h):
 
 
 def _bilinear(field: ScentField, pts: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of padded per-cell data at (M, 2) points.
+    """Bilinear interpolation of flat per-cell data at (M, 2) points.
 
     Uses the enclosing 2x2 cell-center stencil; the weight of solid or
     out-of-grid cells is redistributed proportionally over the remaining
     fluid cells of the stencil.
     """
-    _, _, mask, corners, origin, n, strides, base = field._stencil
+    index, mask, corners, origin, n, strides, base = field._stencil
     uv = (pts - origin) / field.spacing - 0.5
     low = np.floor(uv)
     f = uv - low
     cell = np.minimum(np.maximum(low.astype(np.int64), -2), n) @ strides + base
     # [1 - fx, 1 - fy, fx, fy] -> weights (1-fx)(1-fy), fx(1-fy), (1-fx)fy, fx fy
     w = np.concatenate((1 - f, f), axis=1).reshape(-1, 2, 2)
-    wgt = np.where(mask[cell], (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
+    fluid = mask[cell]
+    wgt = np.where(fluid, (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
     wsum = wgt.sum(axis=1)
-    vals = data[cell[:, None] + corners]
+    vals = data[index[cell[:, None] + corners]]
     if vals.ndim == 2:
-        return (wgt * vals).sum(axis=1) / wsum
+        # An off-grid corner reads cell (0, 0) at weight +0.0.  Its gradient
+        # is +0.0, but a negative value there would give a -0.0 term.
+        return (wgt * np.where(fluid, vals, 0.0)).sum(axis=1) / wsum
     return (wgt[:, :, None] * vals).sum(axis=1) / wsum[:, None]
 
 
@@ -340,7 +349,7 @@ def sample_value_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
     A point whose 2x2 stencil holds no fluid cell, such as one deep inside
     an obstacle, gives NaN.
     """
-    return _bilinear(field, pts, field._stencil[0])
+    return _bilinear(field, pts, field.values.reshape(-1))
 
 
 def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
@@ -349,7 +358,7 @@ def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
     A point whose 2x2 stencil holds no fluid cell, such as one deep inside
     an obstacle, gives NaN; step() then raises ForceBlowUpError.
     """
-    return _bilinear(field, pts, field._stencil[1])
+    return _bilinear(field, pts, field.grad.reshape(-1, 2))
 
 
 def write_field_csv(field: ScentField, path):

@@ -243,19 +243,26 @@ def test_one_cell_channel_cells_have_two_links():
     assert list(row[k - 1:k + 2]) == [-10.0, 0.2 + 10.0 * 2, -10.0]
 
 
-def test_solve_field_peak_memory(config2):
+@pytest.mark.parametrize("name, spacing, bound_mib", [
+    pytest.param("config2", 0.02, 2.5, id="config2"),
+    pytest.param("config3", 0.02, 4.0, id="config3"),
+    pytest.param("config2", 0.01, 8.7, id="config2-fine"),
+])
+def test_solve_field_peak_memory(name, spacing, bound_mib, request):
     # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
-    # on every run.  Six vectors over the fluid cells (1.7 MiB here: the
-    # CG's four, -w * p and the matvec's output) and the stencil's index
-    # tables while they are built should dominate (2.8 MiB in all), with no
-    # coordinate grid alive next to them.
+    # on every run.  Five vectors over the fluid cells (the CG's x, r and p,
+    # the matvec's output and its -w * p, which the CG's updates reuse as
+    # scratch), the source and the mask should dominate (2.27, 3.70 and
+    # 7.91 MiB), with no coordinate grid or index table of the operator's
+    # build alive next to them.
+    cfg = request.getfixturevalue(name)
     tracemalloc.start()
     try:
-        solve_field(config2.arena, config2.food, spacing=0.02)
+        solve_field(cfg.arena, cfg.food, spacing=spacing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.15 * 2**20, f"solve_field peaked at {peak / 2**20:.1f} MiB"
+    assert peak < bound_mib * 2**20, f"solve_field peaked at {peak / 2**20:.2f} MiB"
 
 
 def scipy_cg(field, food):
@@ -452,6 +459,12 @@ def band_points(arena, half, n, rng):
     return np.concatenate(pts)
 
 
+def assert_same_bits(got, want):
+    """Equal bytes: unlike assert_array_equal, tells -0.0 from +0.0."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["config2", "config3"])
 def test_sampling_matches_reference_bit_for_bit(name, request):
     cfg = request.getfixturevalue(name)
@@ -464,7 +477,9 @@ def test_sampling_matches_reference_bit_for_bit(name, request):
                          (field.grad, sample_gradient_many)):
         want = reference_bilinear(field, fluid, data)
         assert np.isfinite(want).all()
-        np.testing.assert_array_equal(kernel(field, fluid), want)
+        assert_same_bits(kernel(field, fluid), want)
+    # the wall bands sample many exact zeros, whose sign the bytes pin
+    assert (sample_gradient_many(field, fluid) == 0).sum() > 1000
     # off the grid, far and near, and deep inside obstacles
     b = cfg.arena.bounds
     off = np.array([[b.lo.x - 0.5, 1.0], [b.hi.x + 3 * field.spacing, 1.0],
@@ -474,8 +489,18 @@ def test_sampling_matches_reference_bit_for_bit(name, request):
         for data, kernel in ((field.values, sample_value_many),
                              (field.grad, sample_gradient_many)):
             assert np.isnan(kernel(field, off)).all()
-            np.testing.assert_array_equal(kernel(field, pts),
-                                          reference_bilinear(field, pts, data))
+            assert_same_bits(kernel(field, pts), reference_bilinear(field, pts, data))
+
+
+def test_sampler_tables_hold_no_copy_of_the_field(field_config3):
+    # The sampler reads values and grad through an index table, 8 bytes per
+    # padded cell, beside the 4 of the stencil's fluid flags.  The origin is
+    # the tables' one float array.
+    sample_gradient_many(field_config3, np.array([[1.0, 1.0]]))
+    padded = (field_config3.nx + 4) * (field_config3.ny + 4)
+    arrays = [t for t in field_config3._stencil if isinstance(t, np.ndarray)]
+    assert sum(t.nbytes for t in arrays) <= 13 * padded
+    assert not [t.dtype for t in arrays if t.size >= padded and t.dtype.kind == "f"]
 
 
 # ------------------------------------------------------------------------ csv
