@@ -62,6 +62,10 @@ class ModelParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ValueError(f"ModelParams.{name} must be >= 0 and finite, got {v}")
+        for name in ("p", "q", "P", "Q"):
+            v = getattr(self, name)
+            if not np.isfinite(v):
+                raise ValueError(f"ModelParams.{name} must be finite, got {v}")
         if not 1.0 < self.p < self.q:
             raise ValueError(f"ModelParams requires 1 < p < q, got p={self.p} q={self.q}")
         if not 1.0 < self.P < self.Q:

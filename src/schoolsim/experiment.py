@@ -284,10 +284,9 @@ def read_results_csv(path) -> ExperimentResult:
     """The results table of a results CSV, success_probability recomputed.
     Raises ValueError unless each row's counts are integers, with trials >= 1
     and nonnegative outcome counts that sum to trials."""
-    cells = tables.read(path, "results")[:, :5]
-    # NaN, inf and cells past int64 warn when cast, so they are cast as -1 and fail below
-    counts = np.where(abs(cells) < 2**63, cells, -1).astype(int)
-    if ((cells != counts).any() or (counts[:, 1] < 1).any() or (counts[:, 2:] < 0).any()
+    counts = tables.read(path, "results")[:, :5].astype(int)
+    # No count above trials, so the int64 sum cannot wrap round to trials.
+    if ((counts[:, 1] < 1).any() or (counts[:, 2:] > counts[:, 1:2]).any()
             or (counts[:, 2:].sum(axis=1) != counts[:, 1]).any()):
         raise ValueError("results CSV counts must be integers, with trials >= 1 and "
                          "nonnegative outcome counts that sum to trials")

@@ -92,22 +92,17 @@ class ScentField:
     def _stencil(self):
         """Sampling tables, built on first use.
 
-        The flat cell index of the grid padded by two solid cells on every
-        side, 0 on the padding; the fluid flags of the 2x2 stencil whose low
-        corner is each padded cell; the flat offsets of its four corners; and
-        the origin, the clip range of the low corner and its flat strides.
+        For each cell of the grid padded by two solid cells on every side,
+        the flat index of its fluid cell, or -1 where it is solid or
+        padding; the flat offsets of a 2x2 stencil's four corners; and the
+        origin, the clip range of the low corner and its flat strides.
         Clipping the low corner into [-2, n] maps every stencil that leaves
         the grid onto solid padding, as the unpadded grid would.
         """
-        pad = ((2, 2), (2, 2))
-        fluid = np.pad(self.fluid, pad).ravel()
-        index = np.pad(np.arange(self.nx * self.ny).reshape(self.nx, self.ny), pad).ravel()
+        index = np.where(self.fluid, np.arange(self.nx * self.ny).reshape(self.nx, self.ny), -1)
         strides = np.array([self.ny + 4, 1])
-        corners = np.array([0, strides[0], 1, strides[0] + 1])
-        mask = np.zeros((fluid.size, 4), dtype=bool)
-        for c, off in enumerate(corners):
-            mask[:fluid.size - off, c] = fluid[off:]
-        return (index, mask, corners, np.array(self.origin, dtype=float),
+        return (np.pad(index, 2, constant_values=-1).ravel(),
+                np.array([0, strides[0], 1, strides[0] + 1]), np.array(self.origin, dtype=float),
                 np.array([self.nx, self.ny]), strides, 2 * strides.sum())
 
 
@@ -196,7 +191,7 @@ def solve_field(arena: Arena, food: FoodSpec, spacing: float = DEFAULT_SPACING,
 
     # Central differences where both axis neighbors are fluid; the component
     # normal to a boundary-adjacent face is +0.0, matching the zero-flux
-    # closure, and the sampler's off-grid corners read cell (0, 0)'s.
+    # closure, and the sampler's solid and off-grid corners read the last cell's.
     grad = np.zeros((nx, ny, 2))
     inv2h = 1.0 / (2.0 * h)
     for axis in (0, 1):
@@ -218,9 +213,8 @@ def _operator(fluid, a, w):
     that order from +0.0, as a column-sorted CSR row does, which fixes CG's
     rounding and every digest after it; do not reorder.  Interior rows read
     their terms as slices of ``-w * p`` and ``(a + 4w) * p``.  Rows by a wall
-    or an obstacle, or where the W-E index offset changes, are summed again
-    from tables in which a missing link weighs 0: its signed zero leaves a
-    sum started at +0.0 unchanged."""
+    or an obstacle are summed again from tables in which a missing link
+    weighs 0: its signed zero leaves a sum started at +0.0 unchanged."""
     nx, ny = fluid.shape
     n = int(fluid.sum())
     idx = np.full((nx + 2, ny), -1, dtype=np.int32)
@@ -231,16 +225,13 @@ def _operator(fluid, a, w):
     links = np.stack((west >= 0, np.pad(north[:-1], (1, 0)), north, east >= 0))
     cells = np.arange(n, dtype=np.int32)[west >= 0]
     offset = cells - west[cells]
-    first = np.flatnonzero(np.diff(offset, prepend=-1))
-    # Runs of cells whose W neighbour lies at one index offset; the cells
-    # before the first W link form a run of offset 0.
-    heads = [0] + cells[first].tolist()
-    runs = list(zip(heads, heads[1:] + [n], [0] + offset[first].tolist()))
-    del cells, offset, first
-    reach = np.zeros(n, dtype=np.int8)  # how many runs' E terms reach each row
-    for s, e, d in runs:
-        reach[s - d:e - d] += d > 0
-    fix = np.flatnonzero(~links.all(axis=0) | (reach != 1))
+    # Runs of consecutive W-linked rows whose W neighbour lies at one index
+    # offset; their E images then reach every E-linked row once.
+    cut = np.flatnonzero((np.diff(offset) != 0) | (np.diff(cells) != 1)) + 1
+    runs = [(int(c[0]), int(c[-1]) + 1, int(d[0]))
+            for c, d in zip(np.split(cells, cut), np.split(offset, cut)) if c.size]
+    del cells, offset, cut
+    fix = np.flatnonzero(~links.all(axis=0))
     has = np.insert(links[:, fix], 2, True, axis=0)
     nbr = np.where(has, np.stack((west[fix], fix - 1, fix, fix + 1, east[fix])), fix)
     coef = np.where(has, -w, 0.0)
@@ -248,14 +239,16 @@ def _operator(fluid, a, w):
 
     # (start, shift into -w * p or None for the centre, first row, end row):
     # W adds its term to +0.0, and each later term to the row's sum so far.
-    out, wp, tmp = np.empty(n), np.empty(n), np.empty(min(n, BLOCK_ROWS))
+    # A row without a W link gets no W term, so its S term reads out as the
+    # last product left it, zero at first, until the fix pass overwrites it.
+    out, wp, tmp = np.zeros(n), np.empty(n), np.empty(min(n, BLOCK_ROWS))
     terms = []
     for b0 in range(0, n, BLOCK_ROWS):
         b1 = min(b0 + BLOCK_ROWS, n)
         block = ([(0.0, -d, max(s, b0), min(e, b1)) for s, e, d in runs]
                  + [(None, -1, max(b0, 1), b1), (None, None, b0, b1),
                     (None, 1, b0, min(b1, n - 1))]
-                 + [(None, d, max(s - d, b0), min(e - d, b1)) for s, e, d in runs if d])
+                 + [(None, d, max(s - d, b0), min(e - d, b1)) for s, e, d in runs])
         terms += [(slice(lo, hi) if shift is None else wp[lo + shift:hi + shift],
                    out[lo:hi] if start is None else start, out[lo:hi])
                   for start, shift, lo, hi in block if lo < hi]
@@ -325,20 +318,21 @@ def _bilinear(field: ScentField, pts: np.ndarray, data: np.ndarray) -> np.ndarra
     out-of-grid cells is redistributed proportionally over the remaining
     fluid cells of the stencil.
     """
-    index, mask, corners, origin, n, strides, base = field._stencil
+    index, corners, origin, n, strides, base = field._stencil
     uv = (pts - origin) / field.spacing - 0.5
     low = np.floor(uv)
     f = uv - low
     cell = np.minimum(np.maximum(low.astype(np.int64), -2), n) @ strides + base
     # [1 - fx, 1 - fy, fx, fy] -> weights (1-fx)(1-fy), fx(1-fy), (1-fx)fy, fx fy
     w = np.concatenate((1 - f, f), axis=1).reshape(-1, 2, 2)
-    fluid = mask[cell]
+    k = index[cell[:, None] + corners]
+    fluid = k >= 0
     wgt = np.where(fluid, (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
     wsum = wgt.sum(axis=1)
-    vals = data[index[cell[:, None] + corners]]
+    vals = data[k]
     if vals.ndim == 2:
-        # An off-grid corner reads cell (0, 0) at weight +0.0.  Its gradient
-        # is +0.0, but a negative value there would give a -0.0 term.
+        # A solid or off-grid corner reads the last cell at weight +0.0.  Its
+        # gradient is +0.0, but a negative value there would give a -0.0 term.
         return (wgt * np.where(fluid, vals, 0.0)).sum(axis=1) / wsum
     return (wgt[:, :, None] * vals).sum(axis=1) / wsum[:, None]
 
@@ -374,17 +368,14 @@ def write_field_csv(field: ScentField, path):
 def read_field_csv(path) -> ScentField:
     """Rebuild a plottable field from a CSV written by write_field_csv.
 
-    The rows may come in any order.  The fluid mask carries the obstacle
+    The rows may come in any order, and their centres must lie within
+    GRID_TOL of one uniform grid.  The fluid mask carries the obstacle
     footprint; the source is not stored, so it reads back as zeros.
     """
     cells = tables.read(path, "field")
     if not len(cells):
         raise ValueError("field CSV has no cells")
-    # NaN, inf and cells past int64 warn when cast, so they are cast as -1 and fail below
-    ij = np.where(abs(cells[:, :2]) < 2**63, cells[:, :2], -1).astype(int)
-    if (ij != cells[:, :2]).any() or (ij < 0).any():
-        raise ValueError("field CSV cell indices must be nonnegative integers")
-    i, j = ij.T
+    i, j = cells[:, :2].T.astype(int)
     nx, ny = int(i.max()) + 1, int(j.max()) + 1
     distinct = np.unique(i * ny + j).size
     if len(cells) != nx * ny or distinct != nx * ny:
@@ -402,5 +393,7 @@ def read_field_csv(path) -> ScentField:
     ys[j] = cells[:, 3]
     h = xs[1] - xs[0] if nx > 1 else (ys[1] - ys[0] if ny > 1 else 1.0)
     origin = (xs[0] - h / 2, ys[0] - h / 2)
+    if not h > 0 or (abs(origin + (cells[:, :2] + 0.5) * h - cells[:, 2:4]) > GRID_TOL).any():
+        raise ValueError("field CSV cell centres must lie on one uniform grid")
     return ScentField(spacing=float(h), origin=origin, nx=nx, ny=ny, fluid=fluid,
                       values=values, grad=grad, source=np.zeros((nx, ny)))

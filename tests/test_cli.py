@@ -262,6 +262,15 @@ def test_bad_config_exits_1_and_writes_nothing(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+def test_run_refuses_an_infinite_exponent_before_any_work(tmp_path, capsys):
+    # json writes and reads Infinity; the run once failed at t=0 with exit 2.
+    cfg = write_cfg(tmp_path, {**QUICK, "params": {"q": float("inf")}})
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "ModelParams.q must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_bad_jobs_in_config(tmp_path, capsys):
     payload = dict(QUICK)
     payload["sweep"] = {"n_min": 2, "n_max": 2, "trials": 1, "base_seed": 5, "jobs": 0}

@@ -74,6 +74,10 @@ def test_params_validation():
         ModelParams(dt=-0.01)
     with pytest.raises(ValueError):
         ModelParams(vmax=float("nan"))
+    # 1 < p < q held for q = inf, and the first step then blew up
+    for name, v in (("q", float("inf")), ("Q", float("inf")), ("p", float("nan"))):
+        with pytest.raises(ValueError, match=f"ModelParams.{name} must be finite"):
+            ModelParams(**{name: v})
 
 
 def test_state_validation():

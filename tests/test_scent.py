@@ -3,6 +3,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -182,6 +183,19 @@ def random_obstacle_arena():
         rect(i * h, j * h, (i + 1) * h, (j + 1) * h) for i, j in (cells[k] for k in picked)))
 
 
+@pytest.fixture(scope="module")
+def random_obstacles():
+    return SimpleNamespace(arena=random_obstacle_arena(),
+                           food=FoodSpec(center=Vec2(0.15, 0.15), radius=0.1))
+
+
+@pytest.fixture(scope="module")
+def field_random_obstacles(random_obstacles):
+    field = solve_field(random_obstacles.arena, random_obstacles.food, spacing=0.05)
+    assert not field.fluid[-1, -1]  # the sampler's -1 index reads a solid cell here
+    return field
+
+
 OPERATOR_ARENAS = {
     "shared-edge": (Arena(rect(0, 0, 1, 1), (rect(0.2, 0.2, 0.5, 0.7),
                                              rect(0.5, 0.3, 0.8, 0.5))), 0.05),
@@ -252,8 +266,8 @@ def test_solve_field_peak_memory(name, spacing, bound_mib, request):
     # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
     # on every run.  Five vectors over the fluid cells (the CG's x, r and p,
     # the matvec's output and its -w * p, which the CG's updates reuse as
-    # scratch), the source and the mask should dominate (2.27, 3.70 and
-    # 7.91 MiB), with no coordinate grid or index table of the operator's
+    # scratch), the source and the mask should dominate (2.25, 3.67 and
+    # 7.82 MiB), with no coordinate grid or index table of the operator's
     # build alive next to them.
     cfg = request.getfixturevalue(name)
     tracemalloc.start()
@@ -465,12 +479,14 @@ def assert_same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["config2", "config3"])
-def test_sampling_matches_reference_bit_for_bit(name, request):
+@pytest.mark.parametrize("name, n", [("config2", 1500), ("config3", 1500),
+                                     ("config1_left", 2000), ("random_obstacles", 100)],
+                         ids=["config2", "config3", "config1_left", "random_obstacles"])
+def test_sampling_matches_reference_bit_for_bit(name, n, request):
     cfg = request.getfixturevalue(name)
     field = request.getfixturevalue(f"field_{name}")
     rng = np.random.default_rng(17)
-    pts = band_points(cfg.arena, field.spacing / 2, 1500, rng)
+    pts = band_points(cfg.arena, field.spacing / 2, n, rng)
     fluid = pts[contains_many(cfg.arena, pts)]
     assert len(fluid) > 5000
     for data, kernel in ((field.values, sample_value_many),
@@ -480,11 +496,13 @@ def test_sampling_matches_reference_bit_for_bit(name, request):
         assert_same_bits(kernel(field, fluid), want)
     # the wall bands sample many exact zeros, whose sign the bytes pin
     assert (sample_gradient_many(field, fluid) == 0).sum() > 1000
-    # off the grid, far and near, and deep inside obstacles
+    # off the grid, far and near, and deep inside config2's and config3's
+    # obstacles; config1-left has none, so there the last point is fluid
     b = cfg.arena.bounds
     off = np.array([[b.lo.x - 0.5, 1.0], [b.hi.x + 3 * field.spacing, 1.0],
                     [1.0, b.lo.y - 1e6], [1.0, b.hi.y + 0.1], [-1e9, 1e9],
                     [2.25, 3.0]])
+    off = off[~contains_many(cfg.arena, off)]
     with np.errstate(invalid="ignore"):
         for data, kernel in ((field.values, sample_value_many),
                              (field.grad, sample_gradient_many)):
@@ -493,13 +511,13 @@ def test_sampling_matches_reference_bit_for_bit(name, request):
 
 
 def test_sampler_tables_hold_no_copy_of_the_field(field_config3):
-    # The sampler reads values and grad through an index table, 8 bytes per
-    # padded cell, beside the 4 of the stencil's fluid flags.  The origin is
-    # the tables' one float array.
+    # The sampler reads values and grad through one index table, 8 bytes per
+    # padded cell, with -1 at solid and padding cells.  The origin is the
+    # tables' one float array.
     sample_gradient_many(field_config3, np.array([[1.0, 1.0]]))
     padded = (field_config3.nx + 4) * (field_config3.ny + 4)
     arrays = [t for t in field_config3._stencil if isinstance(t, np.ndarray)]
-    assert sum(t.nbytes for t in arrays) <= 13 * padded
+    assert sum(t.nbytes for t in arrays) <= 9 * padded
     assert not [t.dtype for t in arrays if t.size >= padded and t.dtype.kind == "f"]
 
 

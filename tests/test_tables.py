@@ -235,8 +235,9 @@ def test_field_csv_rejects_missing_rows_and_no_rows(one_of_each):
 
 def test_readers_reject_non_integer_indices_and_counts(tmp_path, one_of_each):
     # Each line replaces the leading cells of the first row.  The results rows
-    # hold a fractional N, zero trials, counts that sum past trials, and a
-    # negative count in a row that sums to trials.  The field and results rows
+    # hold a fractional N, zero trials, counts that sum past trials, a
+    # negative count in a row that sums to trials, and counts whose int64 sum
+    # wraps round to trials.  The field and results rows
     # with nan, inf or 1e300 must be refused without numpy's cast warning.  The
     # trajectory rows replace the first fish of frame t=0: by a fractional id,
     # by a repeat of fish 1, and by a fish 4 of four.
@@ -245,6 +246,7 @@ def test_readers_reject_non_integer_indices_and_counts(tmp_path, one_of_each):
                        ("results", "2,0,0,0,0,"), ("results", "2,5,1,0,9,"),
                        ("results", "2,5,-1,0,6,"), ("results", "2,nan,"),
                        ("results", "inf,"), ("results", "2,5,0,0,1e300,"),
+                       ("results", "2,1,9223372036854774784,9223372036854774784,2049,"),
                        ("trajectory", "0.0,2.5,"), ("trajectory", "0.0,1,"),
                        ("trajectory", "0.0,4,")):
         path = one_of_each[kind]
@@ -257,6 +259,54 @@ def test_readers_reject_non_integer_indices_and_counts(tmp_path, one_of_each):
     out = tmp_path / "plot"
     assert main(["plot", "--input", str(one_of_each["trajectory"]), "--out", str(out)]) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def edit_cell(path, row, column, text):
+    """Replace one cell of a CSV, its data rows counted from 0."""
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def assert_plot_fails_cleanly(tmp_path, path):
+    # With --config the arena and the food are drawn too, which alone drew
+    # a trajectory CSV's nan positions as cx="nan".
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"builtin": "config2"}')
+    for extra in ([], ["--config", str(cfg)]):
+        out = tmp_path / "plot"
+        assert main(["plot", "--input", str(path), "--out", str(out), *extra]) == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, column, text", [
+    ("field", "U", "nan"), ("field", "dUdx", "inf"), ("trajectory", "x", "nan"),
+    ("trajectory", "vx", "-inf"), ("results", "success_probability", "nan"),
+])
+def test_readers_and_plot_reject_non_finite_cells(tmp_path, one_of_each, kind, column, text):
+    # A nan U once drew every heatmap block at the ramp's bottom colour.
+    path = one_of_each[kind]
+    edit_cell(path, 1, column, text)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
+        warnings.simplefilter("error")
+        READERS[kind](path)
+    assert_plot_fails_cleanly(tmp_path, path)
+
+
+def test_field_csv_rejects_centres_off_one_uniform_grid(tmp_path, one_of_each):
+    # The spacing was xs[1] - xs[0], the last row of i = 1 winning, so a
+    # moved centre there read back as spacing 4.95.
+    path = one_of_each["field"]
+    ny = len(read_field_csv(path).cell_centers()[1])
+    clean = path.read_text()
+    for row, column, text in ((2 * ny - 1, "x_center", "5.0"), (ny + 3, "y_center", "0.175001")):
+        edit_cell(path, row, column, text)
+        with pytest.raises(ValueError, match="uniform grid"):
+            read_field_csv(path)
+        assert_plot_fails_cleanly(tmp_path, path)
+        path.write_text(clean)
 
 
 def test_plot_refuses_a_trials_csv(tmp_path, one_of_each):
