@@ -9,10 +9,12 @@ entry point does.  ``os.wait4`` returns that one child's resource usage;
 ``RUSAGE_CHILDREN`` would give the maximum over every child waited for.
 The JSON holds, per command, the median of three readings and the readings
 themselves, in MB of 1024 KiB, the unit of perfbench's ``peak_rss_mb``.  The
-commands are the shapes a memory claim can serve: ``solve-field`` on config3
-and on config2 at spacing 0.01, ``run`` on config3, a serial ``sweep`` and
-``plot`` of config2's heatmap.  To compare a change with its parent, run it
-in each checkout on an idle machine.
+first row is the import floor, ``schoolsim --help``: it imports every module
+and does no work, so an import-time regression reads apart from a command's
+own.  The commands are the shapes a memory claim can serve: ``solve-field``
+on config3 and on config2 at spacing 0.01, ``run`` on config3, a serial
+``sweep`` and ``plot`` of config2's heatmap.  To compare a change with its
+parent, run it in each checkout on an idle machine.
 """
 
 import json
@@ -56,8 +58,16 @@ def max_rss_mb(argv: list) -> float:
     return round(usage.ru_maxrss / 1024.0, 2)
 
 
+def record(doc: dict, label: str, argvs) -> None:
+    """Add one row to doc: the max RSS of each argv in argvs, and their median."""
+    readings = [max_rss_mb(argv) for argv in argvs]
+    doc["max_rss_mb"][label] = {"median": statistics.median(readings), "readings": readings}
+    print(label, file=sys.stderr, flush=True)
+
+
 def main() -> int:
     doc = {"environment": cli.run_environment(), "max_rss_mb": {}}
+    record(doc, "import floor: schoolsim --help", [["--help"]] * READINGS)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name in {builtin for _, builtin, _ in COMMANDS}:
@@ -66,12 +76,8 @@ def main() -> int:
         max_rss_mb(["solve-field", "--config", str(tmp / "config2.json"), "--out", str(field)])
         for i, (label, builtin, argv) in enumerate(COMMANDS):
             argv = [a.format(field=field / "field.csv") for a in argv]
-            readings = [max_rss_mb([argv[0], "--config", str(tmp / f"{builtin}.json"), *argv[1:],
-                                    "--out", str(tmp / f"out{i}-{k}")])
-                        for k in range(READINGS)]
-            doc["max_rss_mb"][label] = {"median": statistics.median(readings),
-                                        "readings": readings}
-            print(label, file=sys.stderr, flush=True)
+            record(doc, label, [[argv[0], "--config", str(tmp / f"{builtin}.json"), *argv[1:],
+                                 "--out", str(tmp / f"out{i}-{k}")] for k in range(READINGS)])
     json.dump(doc, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0

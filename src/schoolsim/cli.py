@@ -31,7 +31,7 @@ from .config import ConfigError, RunSpec, SweepSpec, config_to_dict, parse_confi
 from .experiment import (run_sweep, run_trial, read_results_csv,
                          read_trajectory_csv, write_results_csv,
                          write_trials_csv, write_trajectory_csv)
-from .plots import render_heatmap, render_success_curve, render_trajectories
+from .plots import render_heatmap, render_success_curve, render_trajectories, write_svg
 from .scent import read_field_csv, solve_field, write_field_csv
 
 DEFAULT_TRAJ_STRIDE = 10
@@ -248,7 +248,7 @@ def cmd_plot(args) -> int:
 
     _write_manifest(args, man_path, overrides, spec, input=str(args.input),
                     instants=instants)
-    svg_path.write_text(text)
+    write_svg(text, svg_path, force=True)  # _prepare_out has checked the target
     print(f"wrote {svg_path}")
     return 0
 

@@ -180,8 +180,9 @@ def _advance_arrays(t: float, pos: np.ndarray, vel: np.ndarray, dw: np.ndarray,
     return x_new.reshape(pos.shape), v_new
 
 
+# Quoted, so a command that never steps does not import numpy.random.
 def step(state: SwarmState, arena: Arena, field: ScentField | None,
-         params: ModelParams, rng: np.random.Generator | None = None,
+         params: ModelParams, rng: "np.random.Generator | None" = None,
          dw: np.ndarray | None = None) -> SwarmState:
     """Advance the whole school by one time step of params.dt.
 

@@ -123,7 +123,8 @@ def results_table(counts) -> dict:
     return table
 
 
-def initial_state(config: TrialConfig, rng: np.random.Generator) -> SwarmState:
+# Quoted, so a command that never steps does not import numpy.random.
+def initial_state(config: TrialConfig, rng: "np.random.Generator") -> SwarmState:
     """Draw the starting school: uniform positions, zero velocities."""
     r = config.init_region
     pos = rng.uniform([r.lo.x, r.lo.y], [r.hi.x, r.hi.y], size=(config.n_fish, 2))

@@ -256,8 +256,13 @@ def render_success_curve(results) -> str | None:
 
 
 def write_svg(text: str, path, force=False):
+    """Write the document to path and return the path, refusing an existing
+    file unless force.  The bytes are those of ``Path.write_text``, but the
+    text goes out in 64 KiB slices, so it is never encoded all at once."""
     path = Path(path)
     if path.exists() and not force:
         raise FileExistsError(f"{path} exists; pass force to overwrite")
-    path.write_text(text)
+    with open(path, "w") as fh:
+        for start in range(0, len(text), 65536):
+            fh.write(text[start:start + 65536])
     return path

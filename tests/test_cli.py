@@ -497,6 +497,14 @@ def test_no_command_loads_the_process_pool():
             or m.split(".")[0] == "multiprocessing"] == []
 
 
+def test_no_command_loads_the_random_generator():
+    # Only stepping draws noise, and run_trials imports numpy.random with its
+    # first default_rng; at import time it would also load secrets, hashlib
+    # and libcrypto into commands that never step.
+    assert [m for m in fresh_modules() if m.split(".")[0] in ("secrets", "hashlib", "_hashlib")
+            or m.startswith("numpy.random")] == []
+
+
 def test_runtime_blowup_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "boom"),

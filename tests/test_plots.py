@@ -234,6 +234,22 @@ def test_write_svg_refuses_overwrite(tmp_path):
     assert target.read_text() == "<svg>2</svg>"
 
 
+def test_write_svg_writes_in_slices(tmp_path, field_config2):
+    # config2's heatmap spans many slices.  Encoding it whole, as
+    # Path.write_text does, would trace one buffer the size of the document.
+    text = render_heatmap(field_config2)
+    target = tmp_path / "heatmap.svg"
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write_svg(text, target)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert target.read_bytes() == text.encode()
+    assert peak < 0.1 * len(text), f"write_svg peaked at {peak / len(text):.2f}x the document"
+
+
 def test_world_transform_flips_y():
     tf = WorldTransform(AxisRect(Vec2(0, 0), Vec2(4, 4)), px_width=400)
     x0, y0 = tf.to_px(0, 0)
