@@ -1,17 +1,21 @@
-"""Swarm dynamics: schooling forces and the stochastic time stepper.
+"""Swarm dynamics: the schooling force law and the stochastic time stepper.
 
-Each fish carries a position and velocity.  Velocities change under four
-forces evaluated synchronously at the current state: pairwise
-attraction/repulsion, velocity alignment, boundary avoidance driven by a
-ray cast along the heading, and a pull up the food-scent gradient.
-Positions integrate the (pre-update) velocity plus additive Gaussian
-noise, explicit Euler-Maruyama style, and are clamped to stay inside
-the arena.  advance() steps a (B, N, 2) batch of independent schools.
+total_forces() sums four forces on fish i at the synchronous state:
+
+    F_i = - attraction  * sum_j (rho_ij^p - rho_ij^q) (x_i - x_j)
+          - alignment   * sum_j (rho_ij^p + rho_ij^q) (v_i - v_j)
+          - avoidance   * (sigma_i^P + sigma_i^Q) * 2 (v_i . n_i) n_i
+          + sensitivity * grad U(x_i)
+
+with rho_ij = r / |x_i - x_j| (rho_ii = 0) and sigma_i = R / d_i, each
+distance floored at EPS_DIST.  The ray along v_i first strikes a face with
+normal n_i at distance d_i (n_i = 0 when v_i = 0), and U is the scent.
+step() and advance() integrate it explicitly, Euler-Maruyama style;
+advance() steps a (B, N, 2) batch of independent schools.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -101,48 +105,18 @@ class SwarmState:
         return self.positions.shape[-2]
 
 
-@lru_cache(maxsize=16)
-def _inf_diagonal(n: int) -> np.ndarray:
-    """(n, n) read-only matrix: inf on the diagonal, 0.0 elsewhere."""
-    out = np.diag(np.full(n, np.inf))
-    out.setflags(write=False)
-    return out
-
-
-def _pair_kernels(positions: np.ndarray, params: ModelParams):
-    """Pairwise difference vectors and the two radial kernel matrices, per school."""
-    diff = positions[..., :, None, :] - positions[..., None, :, :]
-    # Adding 0.0 leaves a distance unchanged; the diagonal becomes inf.
-    dist = np.sqrt((diff * diff).sum(axis=-1)) + _inf_diagonal(positions.shape[-2])
-    ratio = params.r / np.maximum(dist, EPS_DIST)
-    rp = ratio**params.p
-    rq = ratio**params.q
-    return diff, rp, rq
-
-
-def obstacle_forces(positions: np.ndarray, velocities: np.ndarray,
-                    arena: Arena, params: ModelParams) -> np.ndarray:
-    """Boundary-avoidance force on every fish, shape (N, 2).
-
-    Casts a ray along each velocity; the force opposes the velocity
-    component toward the struck face (the difference between the velocity
-    and its specular reflection), weighted by proximity.  Fish whose ray
-    meets nothing (zero velocity) feel no force: their normal is zero and
-    their distance infinite.
-    """
-    _, _, normals, dist, _ = _first_hits(arena, positions, velocities)
-    vn = (velocities * normals).sum(axis=1)
-    ratio = params.R / np.maximum(dist, EPS_DIST)
-    coef = ratio**params.P + ratio**params.Q
-    return (-params.avoidance * coef * 2.0 * vn)[:, None] * normals
-
-
 def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
                  field: ScentField | None, params: ModelParams) -> np.ndarray:
-    """Sum of all four forces at a synchronous (N, 2) or (B, N, 2) state."""
+    """The force law above at a synchronous (N, 2) or (B, N, 2) state; a
+    zero coefficient, or no field, skips its term's work."""
     force = np.zeros(positions.shape)
     if params.attraction != 0.0 or params.alignment != 0.0:
-        diff, rp, rq = _pair_kernels(positions, params)
+        diff = positions[..., :, None, :] - positions[..., None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        np.einsum("...ii->...i", dist)[...] = np.inf  # so that rho_ii = 0
+        ratio = params.r / np.maximum(dist, EPS_DIST)
+        rp = ratio**params.p
+        rq = ratio**params.q
         if params.attraction != 0.0:
             force -= params.attraction * np.einsum("...ij,...ijk->...ik", rp - rq, diff)
         if params.alignment != 0.0:
@@ -150,16 +124,14 @@ def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
             force -= params.alignment * np.einsum("...ij,...ijk->...ik", rp + rq, dv)
     rows, vrows = positions.reshape(-1, 2), velocities.reshape(-1, 2)
     if params.avoidance != 0.0:
-        force += obstacle_forces(rows, vrows, arena, params).reshape(force.shape)
+        _, _, normals, hit_dist, _ = _first_hits(arena, rows, vrows)
+        vn = (vrows * normals).sum(axis=1)
+        ratio = params.R / np.maximum(hit_dist, EPS_DIST)
+        coef = ratio**params.P + ratio**params.Q
+        force += ((-params.avoidance * coef * 2.0 * vn)[:, None] * normals).reshape(force.shape)
     if params.sensitivity != 0.0 and field is not None:
         force += params.sensitivity * sample_gradient_many(field, rows).reshape(force.shape)
     return force
-
-
-def _cap_many(vel: np.ndarray, vmax: float) -> np.ndarray:
-    speed = np.hypot(vel[..., 0], vel[..., 1])
-    factor = vmax / np.maximum(speed, vmax)
-    return vel * factor[..., None]
 
 
 def _advance_arrays(t: float, pos: np.ndarray, vel: np.ndarray, dw: np.ndarray,
@@ -172,7 +144,9 @@ def _advance_arrays(t: float, pos: np.ndarray, vel: np.ndarray, dw: np.ndarray,
                                f"{np.argwhere(bad).tolist()} at t={t:.6g}; params={params}")
         err.schools = np.flatnonzero(bad.any(axis=1)).tolist()
         raise err
-    v_new = _cap_many(vel + params.dt * force, params.vmax)
+    v_new = vel + params.dt * force
+    speed = np.hypot(v_new[..., 0], v_new[..., 1])
+    v_new = v_new * (params.vmax / np.maximum(speed, params.vmax))[..., None]
     proposal = (pos + params.dt * vel + params.noise * dw).reshape(-1, 2)
     x_new, moved = clamp_many(arena, proposal, EPS_INSIDE)
     if moved.any():

@@ -204,8 +204,9 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
     run = partial(run_trials, field=field)
     if parallelism > 1:
         # Imported here: the pool's modules cost every process about 2 MB.
+        # One worker per shard at most: under fork, all of them start at the first submit.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(configs))) as pool:
             shards = list(pool.map(run, configs, shard_seeds))
     else:
         shards = list(map(run, configs, shard_seeds))

@@ -171,7 +171,7 @@ def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
 
 
 def _first_hits(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
-    """Ray-cast core shared by ray_hits_many and the avoidance force.
+    """Ray-cast core shared by ray_hits_many and total_forces.
 
     Returns ``(has_hit, face, normals, distances, s)``: the index of the
     face each ray strikes first (F where none is struck), its normal (zero

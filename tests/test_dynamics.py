@@ -1,5 +1,6 @@
 """Force terms, the speed cap, and the stochastic stepper."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from schoolsim.dynamics import (NOISE_BLOCK, ForceBlowUpError, ModelParams,
                                 SwarmState, advance, step, total_forces)
-from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
+from schoolsim.geometry import Arena, contains_many
+from schoolsim.scent import ScentField
 
-
-def rect(x0, y0, x1, y1):
-    return AxisRect(Vec2(x0, y0), Vec2(x1, y1))
+from helpers import rect
 
 
 TANK = Arena(rect(0, 0, 7, 4))
@@ -192,6 +192,43 @@ def test_total_forces_is_sum_of_terms(field_config2):
     for i in range(n):
         assert total[i, 0] == pytest.approx(parts[i, 0], rel=1e-10, abs=1e-12)
         assert total[i, 1] == pytest.approx(parts[i, 1], rel=1e-10, abs=1e-12)
+
+
+# A baffle-arena school holding two coincident fish (the EPS_DIST floor), a
+# still fish (its ray meets nothing), a fish in the bottom wall's band and
+# one heading into the baffle from 0.05 away.
+PINNED_POSITIONS = np.array([[1.0, 1.0], [1.0, 1.0], [1.05, 1.02], [3.0, 0.05],
+                             [1.95, 3.0], [0.5, 3.5]])
+PINNED_VELOCITIES = np.array([[0.3, 0.1], [-0.2, 0.25], [0.0, 0.0], [0.1, -0.4],
+                              [0.5, 0.0], [-0.1, 0.2]])
+PINNED_FORCE_SHA256 = {
+    "school": "adf6c8c0475813896de89acd3eed75357d7b79f03ab5bff9ba4b07f5d7620929",
+    "batch": "c80196bb96551c9d8b523f1b783f3ad1ae241e3323f3121c9a915703d94d82cf",
+}
+
+
+def pinned_field():
+    """A scent field built from arrays, with no solve, so its bits do not
+    depend on the BLAS thread count: in the fluid, it points at (3, 1)."""
+    h, n = 0.1, 40
+    centres = (np.arange(n) + 0.5) * h
+    xy = np.stack(np.meshgrid(centres, centres, indexing="ij"), axis=-1)
+    fluid = contains_many(BAFFLE_ARENA, xy.reshape(-1, 2)).reshape(n, n)
+    grad = np.where(fluid[..., None], np.array([3.0, 1.0]) - xy, 0.0)
+    return ScentField(spacing=h, origin=(0.0, 0.0), nx=n, ny=n, fluid=fluid,
+                      values=np.zeros((n, n)), grad=grad, source=np.zeros((n, n)))
+
+
+def test_force_law_bytes_are_pinned():
+    # Every term's arithmetic order fixes these bits, and every trajectory's.
+    field = pinned_field()
+    school = SwarmState(0.0, PINNED_POSITIONS, PINNED_VELOCITIES)
+    rolled = SwarmState(0.0, np.stack([np.roll(PINNED_POSITIONS, k, 0) for k in range(3)]),
+                        np.stack([np.roll(PINNED_VELOCITIES, 2 * k, 0) for k in range(3)]))
+    got = {name: forces(st, CALM, BAFFLE_ARENA, field)
+           for name, st in (("school", school), ("batch", rolled))}
+    for name, force in got.items():
+        assert hashlib.sha256(force.tobytes()).hexdigest() == PINNED_FORCE_SHA256[name], name
 
 
 def test_blowup_raises():

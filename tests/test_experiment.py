@@ -240,6 +240,31 @@ def test_sweep_independent_of_parallelism():
         assert serial.trials["center"].tobytes() == pooled.trials["center"].tobytes()
 
 
+def test_sweep_pool_has_at_most_one_worker_per_shard(monkeypatch):
+    # 2 sizes x 4 trials make 8 shards; a pool of 64 would fork 56 idle workers.
+    import concurrent.futures
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    base = builtin_config("config2")
+    cfg = dataclasses.replace(base, horizon=0.05)
+    run_sweep(cfg, [2, 3], trials=4, base_seed=11, parallelism=64, field=coarse_field(base))
+    assert sizes == [8]
+
+
 def test_sweep_beyond_shard_cap_matches_single_trials():
     # more trials than one shard may hold: the sweep runs them in two
     # batches, and every row equals run_trial on its own seed

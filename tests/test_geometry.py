@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from schoolsim.geometry import (RAY_TOL, Arena, AxisRect, Vec2, clamp_many,
-                                contains_many, ray_hits_many)
+from schoolsim.geometry import (RAY_TOL, Arena, Vec2, clamp_many, contains_many,
+                                ray_hits_many)
 from schoolsim.scent import FoodSpec, sample_gradient_many, solve_field
 
-
-def rect(x0, y0, x1, y1):
-    return AxisRect(Vec2(x0, y0), Vec2(x1, y1))
+from helpers import brute_first_hit, random_fluid_points, rect
 
 
 TANK = Arena(rect(0, 0, 7, 4))
@@ -207,41 +205,6 @@ def test_corner_hit_prefers_face_with_larger_direction_component():
 def test_ray_distance_is_euclidean_for_unnormalized_dir():
     _, _, _, dist = cast(TANK, (1, 1), (0, -7))
     assert dist == pytest.approx(1.0, abs=1e-12)
-
-
-def brute_first_hit(arena, origin, direction):
-    """Scan every wall and obstacle plane crossing; keep the nearest."""
-    candidates = []
-    pieces = [(arena.bounds, True)] + [(ob, False) for ob in arena.obstacles]
-    for piece, _ in pieces:
-        for axis, coord in ((0, piece.lo.x), (0, piece.hi.x),
-                            (1, piece.lo.y), (1, piece.hi.y)):
-            d = direction[axis]
-            if d == 0.0:
-                continue
-            s = (coord - origin[axis]) / d
-            if s <= 1e-12:
-                continue
-            other = 1 - axis
-            val = origin[other] + s * direction[other]
-            lo = (piece.lo.x, piece.lo.y)[other]
-            hi = (piece.hi.x, piece.hi.y)[other]
-            if lo - 1e-12 <= val <= hi + 1e-12:
-                candidates.append((s, axis, -np.sign(d)))
-    if not candidates:
-        return None
-    return min(candidates)
-
-
-def random_fluid_points(arena, n, rng):
-    b = arena.bounds
-    lo, hi = [b.lo.x, b.lo.y], [b.hi.x, b.hi.y]
-    pts = np.empty((0, 2))
-    while len(pts) < n:
-        cand = rng.uniform(lo, hi, size=(2 * n, 2))
-        cand = cand[contains_many(arena, cand)]
-        pts = np.concatenate([pts, cand])
-    return pts[:n]
 
 
 @pytest.mark.parametrize("arena", ALL_ARENAS)

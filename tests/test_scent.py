@@ -10,16 +10,14 @@ import pytest
 from scipy import sparse
 
 from schoolsim.dynamics import ForceBlowUpError, SwarmState, step
-from schoolsim.geometry import Arena, AxisRect, Vec2, contains_many
+from schoolsim.geometry import Arena, Vec2, contains_many
 from schoolsim.experiment import builtin_config
 from schoolsim import scent
 from schoolsim.scent import (TARGET_RTOL, FieldSolveError, FoodSpec, GridError, _operator,
                              read_field_csv, sample_gradient_many, sample_value_many,
                              solve_field, write_field_csv)
 
-
-def rect(x0, y0, x1, y1):
-    return AxisRect(Vec2(x0, y0), Vec2(x1, y1))
+from helpers import rect
 
 
 SMALL_TANK = Arena(rect(0, 0, 1, 1))
