@@ -34,6 +34,9 @@ BUILTINS = ("config1-left", "config1-right", "config2", "config3")
 CASES = (
     [(f"solve-field {name}", name, ["solve-field"]) for name in BUILTINS]
     + [("solve-field config2 spacing=0.01", "config2",
+        ["solve-field", "--spacing", "0.01"]),
+       # 700x400 cells: the heatmap coarsens 3x, with partial edge blocks.
+       ("solve-field config1-left spacing=0.01", "config1-left",
         ["solve-field", "--spacing", "0.01"])]
     + [(f"run {name} seed=1234 horizon=30", name,
         ["run", "--seed", "1234", "--set", "horizon=30"])
@@ -58,6 +61,7 @@ CASES = (
 # whether `plot` also reads the case's config, for the arena and the food.
 PLOTTED = {"solve-field config3": ("field.csv", False),
            "solve-field config2": ("field.csv", True),
+           "solve-field config1-left spacing=0.01": ("field.csv", True),
            "run config3 seed=1234 horizon=30": ("trajectory.csv", True),
            "sweep config2 N=2-4 trials=6": ("results.csv", False)}
 

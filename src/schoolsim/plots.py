@@ -100,10 +100,8 @@ def render_heatmap(field: ScentField, arena: Arena | None = None,
     tf = WorldTransform(AxisRect(Vec2(ox, oy), Vec2(ox + nx * h, oy + ny * h)), HEATMAP_PX)
     # coarsen so at most MAX_HEATMAP_CELLS blocks are emitted
     factor = 1
-    while (-(-nx // factor)) * (-(-ny // factor)) > MAX_HEATMAP_CELLS:
+    while (bx := -(-nx // factor)) * (by := -(-ny // factor)) > MAX_HEATMAP_CELLS:
         factor += 1
-    bx = -(-nx // factor)
-    by = -(-ny // factor)
 
     vals = np.where(field.fluid, field.values, 0.0)
     vmax = float(vals.max())
@@ -119,24 +117,23 @@ def render_heatmap(field: ScentField, arena: Arena | None = None,
         sums += vals[di::factor, dj::factor]
         counts += fluid[di::factor, dj::factor]
 
+    # x and width follow from a block's column alone, y and height from its row.
+    rows = [(_num(tf.to_px(ox, oy + j1 * h)[1]), _num((j1 - j0) * h * tf.scale))
+            for j0 in range(0, ny, factor) for j1 in [min(j0 + factor, ny)]]
     parts = _svg_open(tf.width, tf.height)
-    for bi, row in enumerate(counts):
+    for i0, col_sums, col_counts in zip(range(0, nx, factor), sums, counts):
+        x = _num(tf.to_px(ox + i0 * h, oy)[0])
+        width = _num((min(i0 + factor, nx) - i0) * h * tf.scale)
         blocks = []
-        for bj, count in enumerate(row):
-            i0, i1 = bi * factor, min((bi + 1) * factor, nx)
-            j0, j1 = bj * factor, min((bj + 1) * factor, ny)
+        for (y, height), total, count in zip(rows, col_sums.tolist(), col_counts.tolist()):
             if count:
-                mean = float(sums[bi, bj] / count)
-                t = (mean / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
-                fill = ramp_color(t)
-                cls = ' class="hm"'
+                t = (total / count / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
+                fill, cls = ramp_color(t), "hm"
             else:
-                fill = SOLID_COLOR
-                cls = ' class="solid"'
-            px, py = tf.to_px(ox + i0 * h, oy + j1 * h)
-            blocks.append(_rect_el(px, py, (i1 - i0) * h * tf.scale, (j1 - j0) * h * tf.scale,
-                                   fill, cls))
-        # One string per row of blocks: no string per block outlives its row.
+                fill, cls = SOLID_COLOR, "solid"
+            blocks.append(f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
+                          f'fill="{fill}" class="{cls}"/>')
+        # One string per block column: no string per block outlives its column.
         parts.append("\n".join(blocks))
 
     _overlay(tf, parts, arena, food_center)
@@ -224,16 +221,13 @@ def render_success_curve(results) -> str | None:
     parts = _svg_open(px_width, px_height)
     parts.append(f'<rect x="{_num(m)}" y="{_num(m)}" width="{_num(plot_w)}" '
                  f'height="{_num(plot_h)}" fill="none" stroke="#000000" stroke-width="1"/>')
-    for frac in (0.25, 0.5, 0.75):
+    for frac in (0.25, 0.5, 0.75, 0.0, 1.0):  # 0 and 1 lie on the frame: no line
         gy = m + (1.0 - frac) * plot_h
-        parts.append(f'<line x1="{_num(m)}" y1="{_num(gy)}" x2="{_num(m + plot_w)}" '
-                     f'y2="{_num(gy)}" stroke="#cccccc" stroke-width="0.5"/>')
+        if 0.0 < frac < 1.0:
+            parts.append(f'<line x1="{_num(m)}" y1="{_num(gy)}" x2="{_num(m + plot_w)}" '
+                         f'y2="{_num(gy)}" stroke="#cccccc" stroke-width="0.5"/>')
         parts.append(f'<text x="{_num(m - 6)}" y="{_num(gy + 4)}" font-family="sans-serif" '
                      f'font-size="11" text-anchor="end">{frac:g}</text>')
-    for label, frac in (("0", 0.0), ("1", 1.0)):
-        gy = m + (1.0 - frac) * plot_h
-        parts.append(f'<text x="{_num(m - 6)}" y="{_num(gy + 4)}" font-family="sans-serif" '
-                     f'font-size="11" text-anchor="end">{label}</text>')
     if len(points) > 1:
         coords = " ".join("{},{}".format(_num(px), _num(py))
                           for px, py in (to_px(n, prob) for n, prob in points))

@@ -239,8 +239,8 @@ def _operator(fluid, a, w):
 
     # (start, shift into -w * p or None for the centre, first row, end row):
     # W adds its term to +0.0, and each later term to the row's sum so far.
-    # A row without a W link gets no W term, so its S term reads out as the
-    # last product left it, zero at first, until the fix pass overwrites it.
+    # A row without a W link gets no W term, so its S term reads whatever out
+    # holds, zero at first, until the fix pass overwrites it.
     out, wp, tmp = np.zeros(n), np.empty(n), np.empty(min(n, BLOCK_ROWS))
     terms = []
     for b0 in range(0, n, BLOCK_ROWS):
@@ -261,7 +261,6 @@ def _operator(fluid, a, w):
             np.add(start, term, out=rows)
         out[fix] = reduce(np.add, coef * p[nbr], 0.0)
         return out
-    matvec.scratch = wp  # free from the end of one product to the start of the next
     return matvec
 
 
@@ -281,7 +280,6 @@ def _solve_linear(fluid, f, food, h):
     x = b / a
     r = b - A(x)
     del b
-    step = A.scratch
     iters = 0
     while iters < 50 * max(fluid.shape):
         rho = r @ r
@@ -294,13 +292,14 @@ def _solve_linear(fluid, f, food, h):
             p = r.copy()
         q = A(p)
         alpha = rho / (p @ q)
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, q, out=step)
+        # q is dead once r is updated, so it holds x's step.
+        r -= np.multiply(alpha, q, out=q)
+        x += np.multiply(alpha, p, out=q)
         rho_prev = rho
         iters += 1
     p = q = None  # neither exists if the loop never ran
     residual = float(np.linalg.norm(np.subtract(f[fluid], A(x), out=r)) / b_norm)
-    del A, step
+    del A
     if residual > CONTRACT_RTOL:
         raise FieldSolveError(
             f"scent solve stalled at relative residual {residual:.3e} "

@@ -38,35 +38,41 @@ def write(path, kind, blocks):
 def read(path, kind) -> np.ndarray:
     """The rows of a `kind` CSV, in file order, as a (rows, columns) float
     array, parsed READ_ROWS rows at a time.  Raises ValueError unless the
-    header is that of `kind`, every row holds one finite number per column,
-    and every index or count is a nonnegative integer below 2**63, which the
-    readers can cast to int."""
+    text is UTF-8 that csv can read, the header is that of `kind`, every row
+    holds one finite number per column, and every index or count is a
+    nonnegative integer below 2**63, which the readers can cast to int."""
     header = HEADERS[kind]
     ints = [k for k, name in enumerate(header)
             if name in ("cell_i", "cell_j", "fluid_flag", "N", "trials", "failure_count",
                         "presuccess_count", "success_count", "particle_id")]
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        found = next(rows, None)
-        if found != header:
-            raise ValueError(f"not a {kind} CSV (header {found})")
-        blocks = [np.empty((0, len(header)))]
-        while block := list(islice(rows, READ_ROWS)):
-            if any(len(row) != len(header) for row in block):
-                raise ValueError(f"{kind} CSV has a row without {len(header)} cells")
-            cells = np.array(block, dtype=float)
-            whole = cells[:, ints]
-            if not (np.isfinite(cells).all() and (whole >= 0).all() and (whole < 2**63).all()
-                    and (whole == np.floor(whole)).all()):
-                raise ValueError(f"{kind} CSV cells must be finite numbers, and its "
-                                 f"{', '.join(header[k] for k in ints)} cells "
-                                 f"nonnegative integers below 2**63")
-            blocks.append(cells)
+    try:
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            found = next(rows, None)
+            if found != header:
+                raise ValueError(f"not a {kind} CSV (header {found})")
+            blocks = [np.empty((0, len(header)))]
+            while block := list(islice(rows, READ_ROWS)):
+                if any(len(row) != len(header) for row in block):
+                    raise ValueError(f"{kind} CSV has a row without {len(header)} cells")
+                cells = np.array(block, dtype=float)
+                whole = cells[:, ints]
+                if not (np.isfinite(cells).all() and (whole >= 0).all()
+                        and (whole < 2**63).all() and (whole == np.floor(whole)).all()):
+                    raise ValueError(f"{kind} CSV cells must be finite numbers, and its "
+                                     f"{', '.join(header[k] for k in ints)} cells "
+                                     f"nonnegative integers below 2**63")
+                blocks.append(cells)
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise ValueError(f"{path}: {e}") from e
     return np.concatenate(blocks)
 
 
 def kind_of(path):
     """The kind whose header heads the CSV at path, or None."""
-    with open(path, newline="") as fh:
-        found = next(csv.reader(fh), None)
+    try:
+        with open(path, newline="") as fh:
+            found = next(csv.reader(fh), None)
+    except (csv.Error, UnicodeDecodeError) as e:
+        raise ValueError(f"{path}: {e}") from e
     return next((kind for kind, header in HEADERS.items() if found == header), None)

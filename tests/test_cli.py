@@ -386,6 +386,27 @@ def test_plot_rejects_unknown_csv(tmp_path):
                  "--out", str(tmp_path / "p")]) == 1
 
 
+RESULTS_HEADER = (b"N,trials,failure_count,presuccess_count,success_count,"
+                  b"success_probability\n")
+
+
+@pytest.mark.parametrize("data", [
+    b"x" * 200_000 + b"\n",
+    RESULTS_HEADER + b"2,1,0,0,1," + b"1" * 200_000 + b"\n",
+    b"\x80\n",
+    RESULTS_HEADER + b"2,1,0,0,1,\xff\n",
+], ids=["long-header", "long-cell", "header-not-utf-8", "cell-not-utf-8"])
+def test_plot_of_an_unreadable_csv_exits_1_naming_it(tmp_path, capsys, data):
+    # A field over csv's 131,072-character limit, or a byte that is not
+    # UTF-8, is bad input, not a runtime failure.
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["plot", "--input", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+
+
 def test_plot_rejects_bad_instants(tmp_path, sweep_outputs):
     _, field_dir, run_dir, _ = sweep_outputs
     out = tmp_path / "p"

@@ -1,5 +1,6 @@
 """SVG rendering: heatmap fidelity, panel counts, curve output, determinism."""
 
+import hashlib
 import re
 import tracemalloc
 
@@ -13,7 +14,7 @@ from schoolsim.plots import (HEAT_STRETCH, MARGIN_PX, MAX_HEATMAP_CELLS, RAMP,
                              SOLID_COLOR, WorldTransform, pick_instants,
                              ramp_color, render_heatmap, render_success_curve,
                              render_trajectories, write_svg)
-from schoolsim.scent import read_field_csv, solve_field, write_field_csv
+from schoolsim.scent import ScentField, read_field_csv, solve_field, write_field_csv
 
 HM_RE = re.compile(r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([\d.]+)" '
                    r'height="([\d.]+)" fill="#([0-9a-f]{6})" class="hm"/>')
@@ -137,6 +138,25 @@ def test_heatmap_of_a_read_back_field_is_byte_identical(tmp_path, name, spacing)
 
 def test_heatmap_is_deterministic(field_config2):
     assert render_heatmap(field_config2) == render_heatmap(field_config2)
+
+
+PARTIAL_BLOCKS_SHA256 = "85e5b26f4befd7b27787f3185acbe9ec16b65a19b8d5eae91e5713f82b81e76c"
+
+
+def test_heatmap_bytes_with_partial_blocks_are_pinned():
+    # 401x401 cells coarsen 3x into 134x134 blocks, whose last column and
+    # row are 2 cells wide, and the solid rectangle cuts blocks on all four
+    # sides.  The values are integers and no field is solved, so the bytes
+    # follow neither the BLAS thread count nor a transcendental function.
+    n = 401
+    i, j = np.indices((n, n))
+    fluid = ~((100 <= i) & (i < 251) & (50 <= j) & (j < 301))
+    values = np.where(fluid, (7 * i + 13 * j) % 97 + 1, 0).astype(float)
+    field = ScentField(spacing=0.01, origin=(0.0, 0.0), nx=n, ny=n, fluid=fluid,
+                       values=values, grad=np.zeros((n, n, 2)), source=np.zeros((n, n)))
+    svg = render_heatmap(field)
+    assert svg.count('class="hm"') + svg.count('class="solid"') == 134 * 134
+    assert hashlib.sha256(svg.encode()).hexdigest() == PARTIAL_BLOCKS_SHA256
 
 
 # ------------------------------------------------------------------- instants

@@ -263,8 +263,8 @@ def test_one_cell_channel_cells_have_two_links():
 def test_solve_field_peak_memory(name, spacing, bound_mib, request):
     # tracemalloc counts every numpy buffer and, unlike RSS, reads the same
     # on every run.  Five vectors over the fluid cells (the CG's x, r and p,
-    # the matvec's output and its -w * p, which the CG's updates reuse as
-    # scratch), the source and the mask should dominate (2.25, 3.67 and
+    # and the matvec's output, which the CG's updates reuse as scratch, and
+    # its -w * p), the source and the mask should dominate (2.25, 3.67 and
     # 7.82 MiB), with no coordinate grid or index table of the operator's
     # build alive next to them.
     cfg = request.getfixturevalue(name)
