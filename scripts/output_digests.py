@@ -35,7 +35,7 @@ CASES = (
     [(f"solve-field {name}", name, ["solve-field"]) for name in BUILTINS]
     + [("solve-field config2 spacing=0.01", "config2",
         ["solve-field", "--spacing", "0.01"]),
-       # 700x400 cells: the heatmap coarsens 3x, with partial edge blocks.
+       # 700x400 cells: the largest heatmap, an image of 280,000 pixels.
        ("solve-field config1-left spacing=0.01", "config1-left",
         ["solve-field", "--spacing", "0.01"])]
     + [(f"run {name} seed=1234 horizon=30", name,

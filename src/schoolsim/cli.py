@@ -5,6 +5,7 @@ Commands::
     schoolsim solve-field --config F --out D [--spacing H]
     schoolsim run        --config F --out D [--seed S] [--traj-stride K]
     schoolsim sweep      --config F --out D --n-min A --n-max B --trials T --seed S [--jobs J]
+                         [--per-trial] [--component-delta D]
     schoolsim plot       --input CSV --out D [--config F] [--instants LIST]
 
 Every command accepts repeated ``--set path=value`` overrides and refuses to

@@ -78,6 +78,9 @@ class TrialConfig:
             if r.intersects_interior(ob):
                 raise ValueError(f"init_region overlaps obstacle {k}")
         _check_food_in_fluid(self.arena, self.food)
+        c, food = self.classifier, self.food.center
+        if c.kind == "center-distance" and c.food_center != food:
+            raise ValueError(f"classifier.food_center: {c.food_center} is not food.center {food}")
 
     @property
     def n_steps(self) -> int:

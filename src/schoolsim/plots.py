@@ -1,10 +1,12 @@
 """Deterministic SVG charts: scent heatmaps, trajectory panels, success curves.
 
-Everything is emitted as plain SVG text so output bytes depend only on the
-input data.  No plotting library is used.
+Everything is emitted as SVG text, with the heatmap's pixels as a PNG inside
+it, so output bytes depend only on the input data.  No plotting library is used.
 """
 
-import warnings
+import base64
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,6 @@ import numpy as np
 from .geometry import Arena, AxisRect, Vec2
 from .scent import ScentField
 
-MAX_HEATMAP_CELLS = 40_000
 HEATMAP_PX = 840
 PANEL_PX = 320
 PANELS = 4  # snapshots drawn when no instants are requested
@@ -21,8 +22,9 @@ MARGIN_PX = 36
 
 # Color anchors for the heatmap ramp, chosen so r+g+b increases strictly
 # with intensity (the brightest pixel is always the largest value).
-RAMP = ((68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37))
+RAMP = np.array([(68, 1, 84), (59, 82, 139), (33, 145, 140), (94, 201, 98), (253, 231, 37)])
 SOLID_COLOR = "#222222"
+SOLID_RGB = tuple(bytes.fromhex(SOLID_COLOR[1:]))
 HEAT_STRETCH = 0.3  # power applied to normalized values so dim regions show
 
 PARTICLE_COLOR = "#1f77b4"
@@ -35,14 +37,13 @@ def _num(v) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def ramp_color(t: float) -> str:
-    """Hex color for t in [0, 1] along the intensity ramp."""
-    t = min(max(float(t), 0.0), 1.0)
-    pos = t * (len(RAMP) - 1)
-    k = min(int(pos), len(RAMP) - 2)
-    frac = pos - k
-    rgb = [round(a + (b - a) * frac) for a, b in zip(RAMP[k], RAMP[k + 1])]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+def ramp_rgb(t) -> np.ndarray:
+    """8-bit RGB colours, shape t.shape + (3,), for t in [0, 1] (clamped)
+    along the intensity ramp, each channel rounded half to even."""
+    pos = np.clip(t, 0.0, 1.0) * (len(RAMP) - 1)
+    k = np.minimum(pos.astype(int), len(RAMP) - 2)
+    lo, hi = RAMP[k], RAMP[k + 1]
+    return np.rint(lo + (hi - lo) * (pos - k)[..., None]).astype(np.uint8)
 
 
 class WorldTransform:
@@ -93,51 +94,46 @@ def _overlay(tf, parts, arena: Arena | None, food_center: Vec2 | None):
 
 def render_heatmap(field: ScentField, arena: Arena | None = None,
                    food_center: Vec2 | None = None) -> str:
-    """SVG heatmap of a scent field; solid cells are drawn dark, and the
-    arena's obstacles and the food on top when given."""
+    """SVG heatmap of a scent field, one image with a pixel per grid cell (solid
+    ones dark, values <= 0 at the ramp's bottom), obstacles and food on top."""
     nx, ny, h = field.nx, field.ny, field.spacing
     ox, oy = field.origin
     tf = WorldTransform(AxisRect(Vec2(ox, oy), Vec2(ox + nx * h, oy + ny * h)), HEATMAP_PX)
-    # coarsen so at most MAX_HEATMAP_CELLS blocks are emitted
-    factor = 1
-    while (bx := -(-nx // factor)) * (by := -(-ny // factor)) > MAX_HEATMAP_CELLS:
-        factor += 1
+    # vmax is 0 only when no fluid value is positive, and every t is then 0.
+    vmax = float(np.max(field.values, where=field.fluid, initial=0.0)) or 1.0
 
-    vals = np.where(field.fluid, field.values, 0.0)
-    vmax = float(vals.max())
+    # PNG scanlines run top-down, each led by filter byte 0, so rows[j, i]
+    # is the pixel of cell (i, j).  It is filled a grid column at a time.
+    raw = np.zeros((ny, 1 + 3 * nx), dtype=np.uint8)
+    rows = raw[::-1, 1:].reshape(ny, nx, 3)  # a view: the last axis splits in place
+    for i, (fluid, values) in enumerate(zip(field.fluid, field.values)):
+        t = (np.maximum(values, 0.0) / vmax) ** HEAT_STRETCH
+        rows[:, i] = np.where(fluid[:, None], ramp_rgb(t), SOLID_RGB)
+    png = base64.b64encode(_png(raw, nx, ny)).decode("ascii")
 
-    # Each block's value sum and fluid count.  The sub-grids are added in
-    # row-major order, the order in which numpy sums a block's fluid cells
-    # for their mean when there are fewer than 8 of them, as at factor 1 or 2.
-    pad = ((0, bx * factor - nx), (0, by * factor - ny))
-    vals, fluid = np.pad(vals, pad), np.pad(field.fluid, pad)
-    sums = np.zeros((bx, by))
-    counts = np.zeros((bx, by), dtype=int)
-    for di, dj in np.ndindex(factor, factor):
-        sums += vals[di::factor, dj::factor]
-        counts += fluid[di::factor, dj::factor]
-
-    # x and width follow from a block's column alone, y and height from its row.
-    rows = [(_num(tf.to_px(ox, oy + j1 * h)[1]), _num((j1 - j0) * h * tf.scale))
-            for j0 in range(0, ny, factor) for j1 in [min(j0 + factor, ny)]]
     parts = _svg_open(tf.width, tf.height)
-    for i0, col_sums, col_counts in zip(range(0, nx, factor), sums, counts):
-        x = _num(tf.to_px(ox + i0 * h, oy)[0])
-        width = _num((min(i0 + factor, nx) - i0) * h * tf.scale)
-        blocks = []
-        for (y, height), total, count in zip(rows, col_sums.tolist(), col_counts.tolist()):
-            if count:
-                t = (total / count / vmax) ** HEAT_STRETCH if vmax > 0 else 0.0
-                fill, cls = ramp_color(t), "hm"
-            else:
-                fill, cls = SOLID_COLOR, "solid"
-            blocks.append(f'<rect x="{x}" y="{y}" width="{width}" height="{height}" '
-                          f'fill="{fill}" class="{cls}"/>')
-        # One string per block column: no string per block outlives its column.
-        parts.append("\n".join(blocks))
-
+    parts.append(f'<image x="{_num(MARGIN_PX)}" y="{_num(MARGIN_PX)}" '
+                 f'width="{_num(tf.width - 2 * MARGIN_PX)}" height="{_num(tf.height - 2 * MARGIN_PX)}" '
+                 f'style="image-rendering:pixelated" href="data:image/png;base64,{png}"/>')
     _overlay(tf, parts, arena, food_center)
     return _svg_close(parts)
+
+
+def _png(raw: np.ndarray, width: int, height: int) -> bytes:
+    """An 8-bit RGB PNG of the given scanlines in stored (uncompressed)
+    deflate blocks, so its bytes follow from the pixels alone."""
+    data = memoryview(raw).cast("B")
+    stream = [b"\x78\x01"]  # zlib header: deflate, 32 KiB window, no dictionary
+    for k in range(0, len(data), 65535):
+        size = min(65535, len(data) - k)
+        stream += struct.pack("<BHH", k + size == len(data), size, 0xFFFF ^ size), data[k:k + size]
+    stream.append(struct.pack(">I", zlib.adler32(data)))
+    doc = [b"\x89PNG\r\n\x1a\n"]
+    for kind, body in ((b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)),
+                       (b"IDAT", b"".join(stream)), (b"IEND", b"")):
+        crc = zlib.crc32(body, zlib.crc32(kind))
+        doc += struct.pack(">I", len(body)), kind, body, struct.pack(">I", crc)
+    return b"".join(doc)
 
 
 def pick_instants(times, requested=None):
@@ -204,7 +200,6 @@ def render_success_curve(results) -> str | None:
     """Success probability against school size from a results table; None if it is empty."""
     order = np.argsort(results["N"], kind="stable")
     if not len(order):
-        warnings.warn("sweep result is empty, no success curve to draw")
         return None
     px_width, px_height = CURVE_PX
     m = MARGIN_PX + 8

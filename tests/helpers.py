@@ -1,5 +1,10 @@
 """Test helpers shared across the test modules."""
 
+import base64
+import re
+import struct
+import zlib
+
 import numpy as np
 
 from schoolsim.geometry import AxisRect, Vec2, contains_many
@@ -41,3 +46,36 @@ def random_fluid_points(arena, n, rng):
         cand = rng.uniform(lo, hi, size=(2 * n, 2))
         pts = np.concatenate([pts, cand[contains_many(arena, cand)]])
     return pts[:n]
+
+
+PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+HEATMAP_RE = re.compile(r'<image x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" '
+                        r'height="([\d.]+)" [^>]*href="data:image/png;base64,([^"]+)"/>')
+
+
+def decode_png(data: bytes) -> np.ndarray:
+    """The (height, width, 3) pixels of an 8-bit RGB PNG whose scanlines all
+    use filter 0, after checking its chunks' CRCs and its zlib stream."""
+    assert data[:8] == PNG_SIGNATURE
+    chunks, pos = [], 8
+    while pos < len(data):
+        size, kind = struct.unpack(">I4s", data[pos:pos + 8])
+        body = data[pos + 8:pos + 8 + size]
+        (crc,) = struct.unpack(">I", data[pos + 8 + size:pos + 12 + size])
+        assert zlib.crc32(kind + body) == crc, kind
+        chunks.append((kind, body))
+        pos += 12 + size
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, depth, colour, *methods = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (depth, colour, methods) == (8, 2, [0, 0, 0])
+    raw = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8)
+    rows = raw.reshape(height, 1 + 3 * width)
+    assert not rows[:, 0].any(), "a scanline uses a filter other than None"
+    return rows[:, 1:].reshape(height, width, 3)
+
+
+def heatmap_image(svg: str):
+    """The heatmap's one image: its (x, y, width, height) in pixels and its
+    decoded (rows, columns, 3) pixels, the top row first."""
+    (match,) = HEATMAP_RE.findall(svg)
+    return [float(v) for v in match[:4]], decode_png(base64.b64decode(match[4]))

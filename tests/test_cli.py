@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,10 @@ import pytest
 from schoolsim import cli
 from schoolsim.cli import main
 from schoolsim.config import parse_config, parse_config_dict
+from schoolsim.plots import RAMP
+from schoolsim.scent import read_field_csv
+
+from helpers import heatmap_image
 
 QUICK = {
     "builtin": "config2",
@@ -262,6 +267,23 @@ def test_bad_config_exits_1_and_writes_nothing(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+def test_a_moved_food_needs_its_classifier_moved_too(tmp_path, capsys):
+    # config1's classifier counts success within 1 of the food's centre.
+    cfg = write_cfg(tmp_path, {"builtin": "config1-left", "spacing": 0.1,
+                               "overrides": {"horizon": 0.2, "n_fish": 4}})
+    moved = ["--set", "food.center.x=5.5"]
+    out = tmp_path / "moved"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *moved]) == 1
+    err = capsys.readouterr().err
+    assert "Vec2(x=1.5, y=0.1)" in err and "Vec2(x=5.5, y=0.1)" in err
+    assert not out.exists()
+    out = tmp_path / "both"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *moved,
+                 "--set", "classifier.food_center.x=5.5"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["resolved_config"]["classifier"]["food_center"] == {"x": 5.5, "y": 0.1}
+
+
 def test_run_refuses_an_infinite_exponent_before_any_work(tmp_path, capsys):
     # json writes and reads Infinity; the run once failed at t=0 with exit 2.
     cfg = write_cfg(tmp_path, {**QUICK, "params": {"q": float("inf")}})
@@ -339,7 +361,9 @@ def test_plot_dispatches_on_csv_kind(tmp_path, sweep_outputs):
     out = tmp_path / "plots"
     assert main(["plot", "--input", str(field_dir / "field.csv"),
                  "--out", str(out / "hm")]) == 0
-    assert (out / "hm" / "heatmap.svg").read_text().count('class="hm"') > 0
+    field = read_field_csv(field_dir / "field.csv")
+    _, pixels = heatmap_image((out / "hm" / "heatmap.svg").read_text())
+    assert pixels.shape == (field.ny, field.nx, 3)
 
     assert main(["plot", "--input", str(sweep_dir / "results.csv"),
                  "--out", str(out / "pr")]) == 0
@@ -432,12 +456,32 @@ def test_plot_config_overlays_the_heatmap(tmp_path):
     assert (overlaid.count('class="obstacle"'), overlaid.count('class="food"')) == (1, 1)
 
 
+def test_plot_draws_a_negative_value_at_the_ramps_bottom(tmp_path):
+    # A negative value raised to HEAT_STRETCH is complex; plot once exited 2.
+    assert main(["solve-field", "--config", str(write_cfg(tmp_path)),
+                 "--out", str(tmp_path / "f")]) == 0
+    with open(tmp_path / "f" / "field.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, cell = rows[0], rows[1]
+    assert cell[header.index("fluid_flag")] == "1"
+    cell[header.index("U")] = "-1e-09"
+    with open(tmp_path / "field.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["plot", "--input", str(tmp_path / "field.csv"),
+                 "--out", str(tmp_path / "p")]) == 0
+    _, pixels = heatmap_image((tmp_path / "p" / "heatmap.svg").read_text())
+    i, j = int(cell[header.index("cell_i")]), int(cell[header.index("cell_j")])
+    assert pixels[len(pixels) - 1 - j, i].tolist() == RAMP[0].tolist()
+
+
 def test_plot_empty_results_warns_but_succeeds(tmp_path, capsys):
     empty = tmp_path / "results.csv"
     empty.write_text("N,trials,failure_count,presuccess_count,"
                      "success_count,success_probability\n")
     out = tmp_path / "p"
-    assert main(["plot", "--input", str(empty), "--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # plot's own line is the one message
+        assert main(["plot", "--input", str(empty), "--out", str(out)]) == 0
     assert not (out / "probability.svg").exists()
     assert "no sweep points" in capsys.readouterr().err
 

@@ -150,7 +150,7 @@ def assert_keys_are_fields(d, obj, path="config"):
 
 
 @pytest.mark.parametrize("classifier", [
-    Classifier("center-distance", food_center=Vec2(6.0, 0.5), success_radius=0.75,
+    Classifier("center-distance", food_center=Vec2(6.25, 0.5), success_radius=0.75,
                left_threshold=1.0, right_threshold=4.0, component_delta=0.45),
     Classifier("min-x-threshold", right_threshold=3.0, component_delta=0.2),
     Classifier("band-three-state", left_threshold=1.5, right_threshold=5.5,

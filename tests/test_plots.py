@@ -3,6 +3,7 @@
 import hashlib
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,18 +11,12 @@ import pytest
 from schoolsim.dynamics import SwarmState
 from schoolsim.experiment import builtin_config, results_table
 from schoolsim.geometry import Arena, AxisRect, Vec2
-from schoolsim.plots import (HEAT_STRETCH, MARGIN_PX, MAX_HEATMAP_CELLS, RAMP,
-                             SOLID_COLOR, WorldTransform, pick_instants,
-                             ramp_color, render_heatmap, render_success_curve,
-                             render_trajectories, write_svg)
+from schoolsim.plots import (HEAT_STRETCH, MARGIN_PX, RAMP, SOLID_COLOR, SOLID_RGB,
+                             WorldTransform, pick_instants, ramp_rgb, render_heatmap,
+                             render_success_curve, render_trajectories, write_svg)
 from schoolsim.scent import ScentField, read_field_csv, solve_field, write_field_csv
 
-HM_RE = re.compile(r'<rect x="([-\d.]+)" y="([-\d.]+)" width="([\d.]+)" '
-                   r'height="([\d.]+)" fill="#([0-9a-f]{6})" class="hm"/>')
-
-
-def rgb_sum(hexcode: str) -> int:
-    return sum(int(hexcode[k:k + 2], 16) for k in (0, 2, 4))
+from helpers import heatmap_image
 
 
 # ----------------------------------------------------------------------- ramp
@@ -32,81 +27,61 @@ def test_ramp_anchor_sums_strictly_increase():
 
 
 def test_ramp_is_monotone_and_clamped():
-    ts = np.linspace(0, 1, 101)
-    sums = [rgb_sum(ramp_color(t)[1:]) for t in ts]
-    assert all(a <= b for a, b in zip(sums, sums[1:]))
+    sums = ramp_rgb(np.linspace(0, 1, 101)).astype(int).sum(axis=1)
+    assert (np.diff(sums) >= 0).all()
     assert sums[0] < sums[-1]
-    assert ramp_color(-3) == ramp_color(0.0)
-    assert ramp_color(7) == ramp_color(1.0)
+    assert ramp_rgb(np.array([0.0, 0.25, 1.0])).tolist() == RAMP[[0, 1, 4]].tolist()
+    assert ramp_rgb(np.array([-3.0, 7.0])).tolist() == RAMP[[0, 4]].tolist()
+
+
+def test_ramp_rounds_as_python_round_does():
+    ts, ramp = np.linspace(0, 1, 1025), RAMP.tolist()
+    for t, rgb in zip(ts.tolist(), ramp_rgb(ts).tolist()):
+        k = min(int(t * 4), 3)
+        frac = t * 4 - k
+        assert rgb == [round(a + (b - a) * frac) for a, b in zip(ramp[k], ramp[k + 1])]
+    # A red channel of 52.5 rounds half to even.
+    assert ramp_rgb(np.array(0.3125)).tolist() == [52, 98, 139]
 
 
 # -------------------------------------------------------------------- heatmap
 
+def cell_colours(field):
+    """Each cell's colour, (nx, ny, 3), computed for the whole grid at once."""
+    vmax = np.where(field.fluid, field.values, 0.0).max()
+    rgb = ramp_rgb((field.values / vmax) ** HEAT_STRETCH)
+    return np.where(field.fluid[..., None], rgb, SOLID_RGB)
+
+
 def test_heatmap_brightest_block_sits_on_the_food(field_config1_left):
     f = field_config1_left
-    svg = render_heatmap(f)
-    blocks = HM_RE.findall(svg)
-    assert blocks, "no heatmap cells emitted"
+    (x, y, w, h), pixels = heatmap_image(render_heatmap(f))
+    row, col = np.unravel_index(pixels.astype(int).sum(axis=2).argmax(), pixels.shape[:2])
     scale = (840 - 2 * MARGIN_PX) / (f.nx * f.spacing)
-    ox, oy = f.origin
-    top = oy + f.ny * f.spacing
-    best = max(blocks, key=lambda b: rgb_sum(b[4]))
-    x, y, w, h = (float(v) for v in best[:4])
-    cx = ox + (x - MARGIN_PX + w / 2) / scale
-    cy = top - (y - MARGIN_PX + h / 2) / scale
+    cx = f.origin[0] + (x - MARGIN_PX + (col + 0.5) * w / f.nx) / scale
+    cy = f.origin[1] + f.ny * f.spacing - (y - MARGIN_PX + (row + 0.5) * h / f.ny) / scale
     assert np.hypot(cx - 1.5, cy - 0.1) <= 0.1
 
 
-def test_heatmap_block_budget(field_config1_left, field_config2):
-    # 350x200 cells coarsen 2x into 175x100 blocks
-    svg = render_heatmap(field_config1_left)
-    assert len(HM_RE.findall(svg)) == 175 * 100
-    assert svg.count('class="solid"') == 0
-    # 200x200 fits the budget exactly; the baffle blanks 25x75 cells
-    svg = render_heatmap(field_config2)
-    assert len(HM_RE.findall(svg)) + svg.count('class="solid"') == MAX_HEATMAP_CELLS
-    assert svg.count('class="solid"') == 25 * 75
+def test_heatmap_is_one_image_of_a_pixel_per_cell(field_config1_left, field_config2):
+    for f in (field_config1_left, field_config2):
+        svg = render_heatmap(f)
+        (x, y, w, h), pixels = heatmap_image(svg)
+        assert pixels.shape == (f.ny, f.nx, 3)
+        assert svg.count("<image") == 1
+        assert svg.count("<rect") == 1  # the background
+        scale = (840 - 2 * MARGIN_PX) / (f.nx * f.spacing)
+        assert [x, y, w, h] == pytest.approx([MARGIN_PX, MARGIN_PX, 768,
+                                              f.ny * f.spacing * scale], abs=0.005)
+    # the baffle blanks 25x75 cells of config2's 200x200
+    assert (pixels == SOLID_RGB).all(axis=2).sum() == 25 * 75
 
 
-def test_heatmap_peak_memory(field_config2):
-    # Built one row of blocks at a time, the heatmap holds its row strings
-    # and the joined document at its peak (about 2.3x the document), not a
-    # string per block and a copy of the document besides (4x).
-    tracemalloc.start()
-    try:
-        svg = render_heatmap(field_config2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * len(svg), f"render_heatmap peaked at {peak / len(svg):.2f}x its output"
-
-
-def reference_block_fills(field):
-    """Block colours from the per-block mean of the fluid cells, block by block."""
-    nx, ny = field.nx, field.ny
-    factor = 1
-    while (-(-nx // factor)) * (-(-ny // factor)) > MAX_HEATMAP_CELLS:
-        factor += 1
-    vals = np.where(field.fluid, field.values, 0.0)
-    vmax = float(vals.max())
-    fills = []
-    for i0 in range(0, nx, factor):
-        for j0 in range(0, ny, factor):
-            flu = field.fluid[i0:i0 + factor, j0:j0 + factor]
-            if flu.any():
-                mean = float(vals[i0:i0 + factor, j0:j0 + factor][flu].mean())
-                fills.append(ramp_color((mean / vmax) ** HEAT_STRETCH))
-            else:
-                fills.append(SOLID_COLOR)
-    return factor, fills
-
-
-def test_heatmap_block_colours_equal_per_block_means(field_config1_left, field_config2):
-    for field, want_factor in ((field_config2, 1), (field_config1_left, 2)):
-        factor, fills = reference_block_fills(field)
-        assert factor == want_factor
-        svg = render_heatmap(field)
-        assert re.findall(r'fill="(#[0-9a-f]{6})" class="(?:hm|solid)"', svg) == fills
+def test_heatmap_pixels_are_the_cell_colours(field_config1_left, field_config2, field_config3):
+    for f in (field_config1_left, field_config2, field_config3):
+        _, pixels = heatmap_image(render_heatmap(f))
+        # the image's top row is the grid's last
+        assert np.array_equal(pixels[::-1].transpose(1, 0, 2), cell_colours(f))
 
 
 def test_heatmap_marks_obstacles_and_food(config2, field_config2):
@@ -116,13 +91,29 @@ def test_heatmap_marks_obstacles_and_food(config2, field_config2):
                          food_center=config2.food.center)
     assert svg.count('class="obstacle"') == 1
     assert svg.count('class="food"') == 1
-    # At factor 1 the baffle is drawn over the bounding box of its solid blocks.
+    # The baffle is drawn over the bounding box of the solid pixels.
     rect = r'<rect x="([\d.]+)" y="([\d.]+)" width="([\d.]+)" height="([\d.]+)" '
     (baffle,) = re.findall(rect + f'fill="{SOLID_COLOR}" class="obstacle"/>', svg)
-    solid = np.array(re.findall(rect + r'fill="[^"]+" class="solid"/>', svg), dtype=float)
-    lo = solid[:, :2].min(axis=0)
-    hi = (solid[:, :2] + solid[:, 2:]).max(axis=0)
-    assert [float(v) for v in baffle] == pytest.approx([*lo, *(hi - lo)], abs=1e-9)
+    (x, y, w, h), pixels = heatmap_image(svg)
+    rows, cols = np.nonzero((pixels == SOLID_RGB).all(axis=2))
+    px_w, px_h = w / pixels.shape[1], h / pixels.shape[0]
+    lo = np.array([x + cols.min() * px_w, y + rows.min() * px_h])
+    hi = np.array([x + (cols.max() + 1) * px_w, y + (rows.max() + 1) * px_h])
+    assert [float(v) for v in baffle] == pytest.approx([*lo, *(hi - lo)], abs=0.01)
+
+
+def test_heatmap_peak_memory(field_config1_left, field_config2):
+    # The image is filled a grid column at a time, and the document holds
+    # the PNG once, base64-encoded.  Drawn as up to 40,000 <rect>s, the
+    # heatmap peaked at 7.35 MiB on config2 and 3.67 MiB on config1-left.
+    for field, bound in ((field_config2, 1.0), (field_config1_left, 1.5)):
+        tracemalloc.start()
+        try:
+            render_heatmap(field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, f"render_heatmap peaked at {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("name, spacing", [("config2", 0.02), ("config3", 0.02),
@@ -140,23 +131,23 @@ def test_heatmap_is_deterministic(field_config2):
     assert render_heatmap(field_config2) == render_heatmap(field_config2)
 
 
-PARTIAL_BLOCKS_SHA256 = "85e5b26f4befd7b27787f3185acbe9ec16b65a19b8d5eae91e5713f82b81e76c"
+HEATMAP_SHA256 = "8c57e9a3ef2ed27f5b0d4ae3e2813c66e0b7e4a04c0267ee541507b4f8a0ff1b"
 
 
-def test_heatmap_bytes_with_partial_blocks_are_pinned():
-    # 401x401 cells coarsen 3x into 134x134 blocks, whose last column and
-    # row are 2 cells wide, and the solid rectangle cuts blocks on all four
-    # sides.  The values are integers and no field is solved, so the bytes
-    # follow neither the BLAS thread count nor a transcendental function.
-    n = 401
-    i, j = np.indices((n, n))
-    fluid = ~((100 <= i) & (i < 251) & (50 <= j) & (j < 301))
+def test_heatmap_bytes_are_pinned():
+    # 401x301 cells make a PNG of several stored deflate blocks, and a solid
+    # rectangle sits inside.  No field is solved, so the bytes do not follow
+    # the BLAS thread count.
+    nx, ny = 401, 301
+    i, j = np.indices((nx, ny))
+    fluid = ~((100 <= i) & (i < 251) & (50 <= j) & (j < 201))
     values = np.where(fluid, (7 * i + 13 * j) % 97 + 1, 0).astype(float)
-    field = ScentField(spacing=0.01, origin=(0.0, 0.0), nx=n, ny=n, fluid=fluid,
-                       values=values, grad=np.zeros((n, n, 2)), source=np.zeros((n, n)))
+    field = ScentField(spacing=0.01, origin=(0.0, 0.0), nx=nx, ny=ny, fluid=fluid,
+                       values=values, grad=np.zeros((nx, ny, 2)), source=np.zeros((nx, ny)))
     svg = render_heatmap(field)
-    assert svg.count('class="hm"') + svg.count('class="solid"') == 134 * 134
-    assert hashlib.sha256(svg.encode()).hexdigest() == PARTIAL_BLOCKS_SHA256
+    _, pixels = heatmap_image(svg)
+    assert np.array_equal(pixels[::-1].transpose(1, 0, 2), cell_colours(field))
+    assert hashlib.sha256(svg.encode()).hexdigest() == HEATMAP_SHA256
 
 
 # ------------------------------------------------------------------- instants
@@ -237,8 +228,9 @@ def test_success_curve_single_point_has_no_line():
     assert svg.count('class="curve"') == 0
 
 
-def test_success_curve_empty_warns_and_returns_none():
-    with pytest.warns(UserWarning):
+def test_success_curve_empty_returns_none():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert render_success_curve(results_table(np.empty((0, 5)))) is None
 
 
@@ -254,10 +246,10 @@ def test_write_svg_refuses_overwrite(tmp_path):
     assert target.read_text() == "<svg>2</svg>"
 
 
-def test_write_svg_writes_in_slices(tmp_path, field_config2):
-    # config2's heatmap spans many slices.  Encoding it whole, as
+def test_write_svg_writes_in_slices(tmp_path):
+    # A 3.3 MB document spans many slices.  Encoding it whole, as
     # Path.write_text does, would trace one buffer the size of the document.
-    text = render_heatmap(field_config2)
+    text = "<svg>\n" + "<rect/>\n" * 410_000 + "</svg>\n"
     target = tmp_path / "heatmap.svg"
     tracemalloc.start()
     try:
