@@ -41,6 +41,9 @@ CASES = (
     + [(f"run {name} seed=1234 horizon=30", name,
         ["run", "--seed", "1234", "--set", "horizon=30"])
        for name in ("config2", "config3")]
+    # 3000 steps in chunks of 7: the last chunk is 4 steps long.
+    + [("run config3 seed=1234 horizon=30 --traj-stride 7", "config3",
+        ["run", "--seed", "1234", "--set", "horizon=30", "--traj-stride", "7"])]
     + [("sweep config2 N=2-4 trials=6", "config2",
         ["sweep", "--n-min", "2", "--n-max", "4", "--trials", "6",
          "--seed", "1234", "--per-trial"]),

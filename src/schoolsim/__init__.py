@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 from .geometry import (Arena, AxisRect, Vec2, clamp_many, contains_many,
                        ray_hits_many)
 from .scent import (FieldSolveError, FoodSpec, GridError, ScentField,
-                    read_field_csv, sample_gradient_many, sample_value_many,
-                    solve_field, write_field_csv)
+                    read_field_csv, sample_gradient_many, solve_field,
+                    write_field_csv)
 from .dynamics import (ForceBlowUpError, ModelParams, SwarmState, advance,
                        step, total_forces)
 from .metrics import (Classifier, OutcomeState, classify,
@@ -29,8 +29,8 @@ __all__ = [
     "Arena", "AxisRect", "Vec2", "clamp_many", "contains_many",
     "ray_hits_many",
     "FieldSolveError", "FoodSpec", "GridError", "ScentField",
-    "read_field_csv", "sample_gradient_many", "sample_value_many",
-    "solve_field", "write_field_csv",
+    "read_field_csv", "sample_gradient_many", "solve_field",
+    "write_field_csv",
     "ForceBlowUpError", "ModelParams", "SwarmState", "advance", "step",
     "total_forces",
     "Classifier", "OutcomeState", "classify", "connected_components",

@@ -11,7 +11,9 @@ with rho_ij = r / |x_i - x_j| (rho_ii = 0) and sigma_i = R / d_i, each
 distance floored at EPS_DIST.  The ray along v_i first strikes a face with
 normal n_i at distance d_i (n_i = 0 when v_i = 0), and U is the scent.
 step() and advance() integrate it explicitly, Euler-Maruyama style;
-advance() steps a (B, N, 2) batch of independent schools.
+advance() steps a (B, N, 2) batch of independent schools and returns only
+its final state.  Sampling a run is calling advance() in chunks, as
+experiment.run_trials() does.
 """
 
 import math
@@ -177,18 +179,13 @@ def step(state: SwarmState, arena: Arena, field: ScentField | None,
 
 
 def advance(state: SwarmState, arena: Arena, field: ScentField | None,
-            params: ModelParams, rngs, n_steps: int, sample_stride: int = 0):
+            params: ModelParams, rngs, n_steps: int) -> SwarmState:
     """Run a (B, N, 2) batch n_steps steps, school b drawing its noise from
-    rngs[b]; optionally record every sample_stride-th state.
-
-    Returns ``(final_state, samples)`` where samples[b] lists the recorded
-    states of school b (always including the initial and final ones) when
-    sample_stride > 0, else samples is empty.  Each school moves and draws
-    as in n_steps calls to step() on it alone.
+    rngs[b], and return the final state.  Each school moves and draws as in
+    n_steps calls to step() on it alone, so a run split into calls of any
+    lengths gives the bits of the run in one call.
     """
     t, pos, vel = state.time, state.positions, state.velocities
-    samples = ([[SwarmState(t, pos[b].copy(), vel[b].copy())] for b in range(len(rngs))]
-               if sample_stride > 0 else [])
     for k in range(n_steps):
         if k % NOISE_BLOCK == 0:
             size = (min(NOISE_BLOCK, n_steps - k),) + pos.shape[1:]
@@ -196,9 +193,4 @@ def advance(state: SwarmState, arena: Arena, field: ScentField | None,
         pos, vel = _advance_arrays(t, pos, vel, noise[k % NOISE_BLOCK],
                                    arena, field, params)
         t += params.dt
-        if sample_stride > 0 and ((k + 1) % sample_stride == 0 or k + 1 == n_steps):
-            for b, trail in enumerate(samples):
-                trail.append(SwarmState(t, pos[b].copy(), vel[b].copy()))
-    if n_steps > 0:
-        state = SwarmState(t, pos, vel)
-    return state, samples
+    return SwarmState(t, pos, vel)

@@ -143,9 +143,13 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     measure to one row per seed: "outcome" (OutcomeState objects),
     "center" (school centres, (B, 2)) and "components".  Row b equals the
     trial of seeds[b] run alone.  wall_clock is the time of the whole
-    batch.  samples[b] lists school b's sampled states when traj_stride > 0;
-    otherwise samples is empty.
+    batch.  The batch steps in chunks of traj_stride steps, the last one
+    possibly shorter (0: one chunk).  When traj_stride > 0, samples[b] lists
+    school b's state before and after each chunk, as views of two
+    (T, B, N, 2) arrays; otherwise samples is empty.
     """
+    if traj_stride < 0:
+        raise ValueError(f"traj_stride must be >= 0, got {traj_stride}")
     if field is None:
         field = solve_field(config.arena, config.food, spacing)
     started = time.perf_counter()
@@ -153,16 +157,27 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     pos = np.stack([initial_state(config, rng).positions for rng in rngs])
     if not contains_many(config.arena, pos.reshape(-1, 2)).all():
         raise ValueError("initial positions fall outside the fluid region")
+    n_steps = config.n_steps
+    stride = traj_stride or n_steps
+    starts = range(0, n_steps, stride)
+    # Row i holds the batch after i chunks.
+    positions, velocities = np.empty((2, len(starts) + 1, *pos.shape))
+    positions[0], velocities[0], times = pos, 0.0, [0.0]
+    state = SwarmState(0.0, positions[0], velocities[0])
     try:
-        state, samples = advance(SwarmState(0.0, pos, np.zeros_like(pos)), config.arena,
-                                 field, config.params, rngs, config.n_steps,
-                                 sample_stride=traj_stride)
+        for i, k in enumerate(starts, 1):
+            state = advance(state, config.arena, field, config.params, rngs,
+                            min(stride, n_steps - k))
+            positions[i], velocities[i] = state.positions, state.velocities
+            times.append(state.time)
     except ForceBlowUpError as e:  # name the seeds, which replay with `run --seed`
         raise ForceBlowUpError(f"trial seed(s) {[seeds[b] for b in e.schools]}: {e}") from e
     wall_clock = time.perf_counter() - started
     columns = {"outcome": classify(state, config.classifier),
                "center": school_center(state),
                "components": connected_components(state, config.classifier.component_delta)}
+    samples = ([[SwarmState(t, positions[i, b], velocities[i, b]) for i, t in enumerate(times)]
+                for b in range(len(rngs))] if traj_stride else [])
     return columns, wall_clock, samples
 
 

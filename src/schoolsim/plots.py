@@ -153,8 +153,8 @@ def render_trajectories(samples, instants=None, arena: Arena | None = None,
                         food_center: Vec2 | None = None) -> str:
     """Panel-per-instant snapshots of school positions.
 
-    `samples` is a list of states as produced by `advance`; each panel shows
-    one sampled time with a dot per fish (class="particle").
+    `samples` is a trial's sampled states, as `run_trial` records them; each
+    panel shows one sampled time with a dot per fish (class="particle").
     """
     if not samples:
         raise ValueError("no states to draw")

@@ -310,12 +310,14 @@ def _solve_linear(fluid, f, food, h):
     return values, residual, iters
 
 
-def _bilinear(field: ScentField, pts: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of flat per-cell data at (M, 2) points.
+def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
+    """Interpolated scent gradients at (M, 2) points assumed to lie in the fluid.
 
-    Uses the enclosing 2x2 cell-center stencil; the weight of solid or
-    out-of-grid cells is redistributed proportionally over the remaining
-    fluid cells of the stencil.
+    Bilinear in the enclosing 2x2 cell-center stencil; the weight of solid
+    or out-of-grid cells is redistributed proportionally over the remaining
+    fluid cells of the stencil.  A point whose stencil holds no fluid cell,
+    such as one deep inside an obstacle, gives NaN; step() then raises
+    ForceBlowUpError.
     """
     index, corners, origin, n, strides, base = field._stencil
     uv = (pts - origin) / field.spacing - 0.5
@@ -325,33 +327,10 @@ def _bilinear(field: ScentField, pts: np.ndarray, data: np.ndarray) -> np.ndarra
     # [1 - fx, 1 - fy, fx, fy] -> weights (1-fx)(1-fy), fx(1-fy), (1-fx)fy, fx fy
     w = np.concatenate((1 - f, f), axis=1).reshape(-1, 2, 2)
     k = index[cell[:, None] + corners]
-    fluid = k >= 0
-    wgt = np.where(fluid, (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
-    wsum = wgt.sum(axis=1)
-    vals = data[k]
-    if vals.ndim == 2:
-        # A solid or off-grid corner reads the last cell at weight +0.0.  Its
-        # gradient is +0.0, but a negative value there would give a -0.0 term.
-        return (wgt * np.where(fluid, vals, 0.0)).sum(axis=1) / wsum
-    return (wgt[:, :, None] * vals).sum(axis=1) / wsum[:, None]
-
-
-def sample_value_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
-    """Interpolated scent values at (M, 2) points assumed to lie in the fluid.
-
-    A point whose 2x2 stencil holds no fluid cell, such as one deep inside
-    an obstacle, gives NaN.
-    """
-    return _bilinear(field, pts, field.values.reshape(-1))
-
-
-def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
-    """Interpolated scent gradients at (M, 2) points assumed to lie in the fluid.
-
-    A point whose 2x2 stencil holds no fluid cell, such as one deep inside
-    an obstacle, gives NaN; step() then raises ForceBlowUpError.
-    """
-    return _bilinear(field, pts, field.grad.reshape(-1, 2))
+    wgt = np.where(k >= 0, (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
+    # A solid or off-grid corner reads the last cell's gradient at weight +0.0.
+    grad = field.grad.reshape(-1, 2)[k]
+    return (wgt[:, :, None] * grad).sum(axis=1) / wgt.sum(axis=1)[:, None]
 
 
 def write_field_csv(field: ScentField, path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schoolsim.dynamics import (NOISE_BLOCK, ForceBlowUpError, ModelParams,
                                 SwarmState, advance, step, total_forces)
@@ -50,11 +50,23 @@ def school_of(state, b):
     return SwarmState(state.time, state.positions[b], state.velocities[b])
 
 
-def advance_one(state, arena, field, params, rng, n_steps, sample_stride=0):
+def advance_one(state, arena, field, params, rng, n_steps):
     """advance() on a batch of one, unpacked back to one school."""
-    final, samples = advance(batch(state), arena, field, params, [rng], n_steps,
-                             sample_stride)
-    return school_of(final, 0), samples[0] if samples else []
+    return school_of(advance(batch(state), arena, field, params, [rng], n_steps), 0)
+
+
+def advance_chunks(state, arena, field, params, rngs, chunks):
+    """advance() called once per chunk length; the start state and each
+    chunk's end state, in order."""
+    states = [state]
+    for n_steps in chunks:
+        states.append(advance(states[-1], arena, field, params, rngs, n_steps))
+    return states
+
+
+def strided(n_steps, stride):
+    """n_steps cut into chunks of stride steps, the last one possibly shorter."""
+    return [min(stride, n_steps - k) for k in range(0, n_steps, stride)]
 
 
 # ------------------------------------------------------------------ contracts
@@ -312,8 +324,7 @@ def test_determinism_bit_for_bit():
     def run(seed):
         rng = np.random.default_rng(seed)
         st = pair((1.0, 1.0), (1.2, 1.1), v1=(0.1, 0), v2=(0, 0.1))
-        final, _ = advance_one(st, TANK, None, CALM, rng, 200)
-        return final
+        return advance_one(st, TANK, None, CALM, rng, 200)
 
     a, b = run(99), run(99)
     np.testing.assert_array_equal(a.positions, b.positions)
@@ -329,8 +340,8 @@ def test_speed_bound_and_containment_under_stress():
     vel = rng.uniform(-0.8, 0.8, size=(n, 2))
     state = SwarmState(0.0, pos, vel)
     params = ModelParams(noise=0.05)  # strong jitter drives wall collisions
-    _, samples = advance_one(state, BAFFLE_ARENA, None, params, rng, 500,
-                             sample_stride=1)
+    samples = [school_of(s, 0) for s in advance_chunks(
+        batch(state), BAFFLE_ARENA, None, params, [rng], [1] * 500)]
     assert len(samples) == 501
     for s in samples[1:]:
         speeds = np.hypot(s.velocities[:, 0], s.velocities[:, 1])
@@ -340,30 +351,33 @@ def test_speed_bound_and_containment_under_stress():
 
 def test_advance_equals_manual_steps():
     st = pair((2.0, 2.0), (2.2, 2.0), v1=(0.05, 0.02))
-    final, samples = advance_one(st, TANK, None, CALM,
-                                 np.random.default_rng(3), 5, sample_stride=2)
+    samples = advance_chunks(batch(st), TANK, None, CALM, [np.random.default_rng(3)],
+                             strided(5, 2))
+    final = school_of(samples[-1], 0)
     manual = st
     rng = np.random.default_rng(3)
     for _ in range(5):
         manual = step(manual, TANK, None, CALM, rng=rng)
     np.testing.assert_array_equal(final.positions, manual.positions)
     np.testing.assert_array_equal(final.velocities, manual.velocities)
-    # strided sampling keeps first, every 2nd, and last states
+    # chunks of 2 steps end at every 2nd state, and the last one at the end
     assert [round(s.time, 6) for s in samples] == [0.0, 0.02, 0.04, 0.05]
 
 
 def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
     # noise comes in blocks of NOISE_BLOCK steps; the last block here is
-    # partial, and the trajectory, the samples and the generator's state
-    # afterwards must all be those of repeated step() calls
+    # partial, and the trajectory, the states after chunks of 50 steps and
+    # the generator's state afterwards must all be those of repeated step()
+    # calls
     n_steps = 2 * NOISE_BLOCK + 37
     arena, params = config2.arena, config2.params
     rng0 = np.random.default_rng(11)
     start = SwarmState(0.0, rng0.uniform([1.0, 3.5], [2.0, 4.0], size=(6, 2)),
                        np.zeros((6, 2)))
     rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-    final, samples = advance_one(start, arena, field_config2, params, rng_a, n_steps,
-                                 sample_stride=50)
+    samples = [school_of(s, 0) for s in advance_chunks(
+        batch(start), arena, field_config2, params, [rng_a], strided(n_steps, 50))]
+    final = samples[-1]
     manual, want = start, [start]
     for k in range(1, n_steps + 1):
         manual = step(manual, arena, field_config2, params, rng=rng_b)
@@ -379,28 +393,41 @@ def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
 
 @settings(max_examples=15, deadline=None)
 @given(b=st.integers(1, 6), n=st.integers(2, 8), seed=st.integers(0, 2**32),
-       n_steps=st.integers(1, NOISE_BLOCK + 30), stride=st.integers(1, 40))
+       n_steps=st.integers(1, NOISE_BLOCK + 30), stride=st.integers(1, 40),
+       cuts=st.lists(st.integers(1, NOISE_BLOCK + 29), max_size=3))
+@example(b=2, n=3, seed=0, n_steps=NOISE_BLOCK + 30, stride=40, cuts=[37, NOISE_BLOCK - 6])
 def test_batched_advance_equals_each_school_alone(config2, field_config2,
-                                                   b, n, seed, n_steps, stride):
-    # every school of a batch steps exactly as it would alone: final state,
-    # samples and the next draw of its own generator, bit for bit
+                                                   b, n, seed, n_steps, stride, cuts):
+    # every school of a batch steps exactly as it would alone: the states
+    # after chunks of stride steps, and the next draw of its own generator,
+    # bit for bit; and the batch split into chunks at the drawn cuts, which
+    # may straddle a NOISE_BLOCK boundary, ends as one call does
     arena, params = config2.arena, config2.params
     draw = np.random.default_rng(seed)
     schools = [SwarmState(0.0, draw.uniform([1.0, 3.5], [2.0, 4.0], size=(n, 2)),
                           draw.uniform(-0.5, 0.5, size=(n, 2))) for _ in range(b)]
     seeds = draw.integers(0, 2**63, size=b).tolist()
     rngs = [np.random.default_rng(s) for s in seeds]
-    final, samples = advance(batch(*schools), arena, field_config2, params, rngs,
-                             n_steps, sample_stride=stride)
-    assert final.positions.shape == (b, n, 2)
+    samples = advance_chunks(batch(*schools), arena, field_config2, params, rngs,
+                             strided(n_steps, stride))
+    assert samples[-1].positions.shape == (b, n, 2)
     for k, (school, s) in enumerate(zip(schools, seeds)):
         alone = np.random.default_rng(s)
-        want, want_samples = advance_one(school, arena, field_config2, params, alone,
-                                         n_steps, sample_stride=stride)
-        got = samples[k]
-        assert len(got) == len(want_samples)
-        for g, w in zip(got + [school_of(final, k)], want_samples + [want]):
+        want = advance_chunks(batch(school), arena, field_config2, params, [alone],
+                              strided(n_steps, stride))
+        assert len(samples) == len(want)
+        for g, w in zip(samples, want):
             assert g.time == w.time
-            np.testing.assert_array_equal(g.positions, w.positions)
-            np.testing.assert_array_equal(g.velocities, w.velocities)
+            np.testing.assert_array_equal(g.positions[k], w.positions[0])
+            np.testing.assert_array_equal(g.velocities[k], w.velocities[0])
         assert rngs[k].random() == alone.random()
+
+    bounds = [0, *sorted({c for c in cuts if c < n_steps}), n_steps]
+    one_rngs, split_rngs = ([np.random.default_rng(s) for s in seeds] for _ in range(2))
+    one = advance(batch(*schools), arena, field_config2, params, one_rngs, n_steps)
+    split = advance_chunks(batch(*schools), arena, field_config2, params, split_rngs,
+                           np.diff(bounds).tolist())[-1]
+    assert split.time == one.time
+    np.testing.assert_array_equal(split.positions, one.positions)
+    np.testing.assert_array_equal(split.velocities, one.velocities)
+    assert [g.random() for g in split_rngs] == [g.random() for g in one_rngs]

@@ -172,18 +172,29 @@ def test_run_trial_is_deterministic():
 def test_run_trial_records_trajectory_on_request():
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, n_fish=3, horizon=0.1, seed=1)
-    out = run_trial(cfg, coarse_field(base), traj_stride=5)
+    field = coarse_field(base)
+    out = run_trial(cfg, field, traj_stride=5)
     assert out.trajectory is not None
     # 10 steps sampled every 5th, plus the initial state
     assert [round(s.time, 6) for s in out.trajectory] == [0.0, 0.05, 0.1]
-    plain = run_trial(cfg, coarse_field(base))
+    # a stride that does not divide the steps ends on a short chunk, and one
+    # longer than the run samples only its ends
+    for stride, times in ((3, [0.0, 0.03, 0.06, 0.09, 0.1]), (11, [0.0, 0.1])):
+        other = run_trial(cfg, field, traj_stride=stride)
+        assert [round(s.time, 6) for s in other.trajectory] == times
+        np.testing.assert_array_equal(other.trajectory[-1].positions,
+                                      out.trajectory[-1].positions)
+        assert other == out
+    plain = run_trial(cfg, field)
     assert plain.trajectory is None
     assert plain == out  # endpoint summary identical either way
+    with pytest.raises(ValueError, match="traj_stride"):
+        run_trials(cfg, [1], field, traj_stride=-1)
 
 
 @settings(max_examples=10, deadline=None)
 @given(b=st.integers(1, 6), n=st.integers(2, 8), first=st.integers(0, 2**32),
-       stride=st.integers(1, 40))
+       stride=st.integers(1, 160))
 def test_run_trials_equals_each_trial_alone(config2, field_config2, b, n, first, stride):
     # a batch of b trials gives, trial by trial, the outcome and the sampled
     # trajectory of run_trial on that seed alone
@@ -417,6 +428,5 @@ def test_every_exported_name_resolves():
     missing = [name for name in schoolsim.__all__ if not hasattr(schoolsim, name)]
     assert not missing
     # the array kernels the model runs are the geometry and scent API
-    kernels = {"contains_many", "ray_hits_many", "clamp_many",
-               "sample_value_many", "sample_gradient_many"}
+    kernels = {"contains_many", "ray_hits_many", "clamp_many", "sample_gradient_many"}
     assert kernels <= set(schoolsim.__all__)

@@ -14,8 +14,8 @@ from schoolsim.geometry import Arena, Vec2, contains_many
 from schoolsim.experiment import builtin_config
 from schoolsim import scent
 from schoolsim.scent import (TARGET_RTOL, FieldSolveError, FoodSpec, GridError, _operator,
-                             read_field_csv, sample_gradient_many, sample_value_many,
-                             solve_field, write_field_csv)
+                             read_field_csv, sample_gradient_many, solve_field,
+                             write_field_csv)
 
 from helpers import rect
 
@@ -24,8 +24,14 @@ SMALL_TANK = Arena(rect(0, 0, 1, 1))
 SMALL_FOOD = FoodSpec(center=Vec2(0.2, 0.2), radius=0.15)
 
 
+def values_as_grad(field):
+    """A copy of field whose gradient holds its values in both components, so
+    that sample_gradient_many interpolates the values."""
+    return dataclasses.replace(field, grad=np.repeat(field.values[..., None], 2, axis=-1))
+
+
 def value_at(field, x, y):
-    return sample_value_many(field, np.array([[x, y]], float))[0]
+    return gradient_at(values_as_grad(field), x, y)[0]
 
 
 def gradient_at(field, x, y):
@@ -404,7 +410,7 @@ def test_sampling_outside_fluid_gives_nan_and_step_raises(config2, field_config2
     # inside the baffle and left of the tank: no fluid cell in the stencil
     pts = np.array([[2.25, 3.0], [-1.0, 0.5]])
     with np.errstate(invalid="ignore"):
-        assert np.isnan(sample_value_many(field_config2, pts)).all()
+        assert np.isnan(sample_gradient_many(values_as_grad(field_config2), pts)).all()
         assert np.isnan(sample_gradient_many(field_config2, pts)).all()
         # the NaN pull reaches the force check, so no NaN state comes back
         st = SwarmState(0.0, np.array([[2.25, 3.0], [1.0, 1.0]]), np.zeros((2, 2)))
@@ -427,9 +433,9 @@ def test_sampling_next_to_obstacle_uses_fluid_cells_only(field_config2):
     assert lo - 1e-12 <= v <= hi + 1e-12
 
 
-def reference_bilinear(field, pts, data):
-    """The stencil formula written out corner by corner: weights of solid
-    or off-grid corners are dropped and the rest renormalized."""
+def reference_bilinear(field, pts):
+    """The gradient's stencil formula written out corner by corner: weights
+    of solid or off-grid corners are dropped and the rest renormalized."""
     ox, oy = field.origin
     h = field.spacing
     u = (pts[:, 0] - ox) / h - 0.5
@@ -447,11 +453,7 @@ def reference_bilinear(field, pts, data):
     iic = np.clip(ii, 0, field.nx - 1)
     jjc = np.clip(jj, 0, field.ny - 1)
     wgt = np.where(inside & field.fluid[iic, jjc], wgt, 0.0)
-    wsum = wgt.sum(axis=1)
-    vals = data[iic, jjc]
-    if vals.ndim == 2:
-        return (wgt * vals).sum(axis=1) / wsum
-    return (wgt[:, :, None] * vals).sum(axis=1) / wsum[:, None]
+    return (wgt[:, :, None] * field.grad[iic, jjc]).sum(axis=1) / wgt.sum(axis=1)[:, None]
 
 
 def band_points(arena, half, n, rng):
@@ -487,11 +489,12 @@ def test_sampling_matches_reference_bit_for_bit(name, n, request):
     pts = band_points(cfg.arena, field.spacing / 2, n, rng)
     fluid = pts[contains_many(cfg.arena, pts)]
     assert len(fluid) > 5000
-    for data, kernel in ((field.values, sample_value_many),
-                         (field.grad, sample_gradient_many)):
-        want = reference_bilinear(field, fluid, data)
+    # the values, read through the gradient slot, and the gradient itself
+    fields = (values_as_grad(field), field)
+    for f in fields:
+        want = reference_bilinear(f, fluid)
         assert np.isfinite(want).all()
-        assert_same_bits(kernel(field, fluid), want)
+        assert_same_bits(sample_gradient_many(f, fluid), want)
     # the wall bands sample many exact zeros, whose sign the bytes pin
     assert (sample_gradient_many(field, fluid) == 0).sum() > 1000
     # off the grid, far and near, and deep inside config2's and config3's
@@ -502,10 +505,9 @@ def test_sampling_matches_reference_bit_for_bit(name, n, request):
                     [2.25, 3.0]])
     off = off[~contains_many(cfg.arena, off)]
     with np.errstate(invalid="ignore"):
-        for data, kernel in ((field.values, sample_value_many),
-                             (field.grad, sample_gradient_many)):
-            assert np.isnan(kernel(field, off)).all()
-            assert_same_bits(kernel(field, pts), reference_bilinear(field, pts, data))
+        for f in fields:
+            assert np.isnan(sample_gradient_many(f, off)).all()
+            assert_same_bits(sample_gradient_many(f, pts), reference_bilinear(f, pts))
 
 
 def test_sampler_tables_hold_no_copy_of_the_field(field_config3):
