@@ -328,7 +328,8 @@ def sample_gradient_many(field: ScentField, pts: np.ndarray) -> np.ndarray:
     w = np.concatenate((1 - f, f), axis=1).reshape(-1, 2, 2)
     k = index[cell[:, None] + corners]
     wgt = np.where(k >= 0, (w[:, None, :, 0] * w[:, :, None, 1]).reshape(-1, 4), 0.0)
-    # A solid or off-grid corner reads the last cell's gradient at weight +0.0.
+    # A solid or off-grid corner reads the last cell's gradient, which is +0.0
+    # on the grid's edge, so at weight +0.0 it adds no -0.0 term.
     grad = field.grad.reshape(-1, 2)[k]
     return (wgt[:, :, None] * grad).sum(axis=1) / wgt.sum(axis=1)[:, None]
 

@@ -365,10 +365,10 @@ def test_advance_equals_manual_steps():
 
 
 def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
-    # noise comes in blocks of NOISE_BLOCK steps; the last block here is
-    # partial, and the trajectory, the states after chunks of 50 steps and
-    # the generator's state afterwards must all be those of repeated step()
-    # calls
+    # noise comes in blocks of NOISE_BLOCK steps; one call of n_steps spans
+    # two full blocks and a partial one, and its end state, the states after
+    # chunks of 50 steps and each generator's state afterwards must all be
+    # those of repeated step() calls
     n_steps = 2 * NOISE_BLOCK + 37
     arena, params = config2.arena, config2.params
     rng0 = np.random.default_rng(11)
@@ -388,7 +388,14 @@ def test_advance_over_partial_noise_block_equals_steps(config2, field_config2):
         assert got.time == exp.time
         np.testing.assert_array_equal(got.positions, exp.positions)
         np.testing.assert_array_equal(got.velocities, exp.velocities)
-    assert rng_a.random() == rng_b.random()
+    after = rng_b.random()
+    assert rng_a.random() == after
+    rng_one = np.random.default_rng(5)
+    one = advance_one(start, arena, field_config2, params, rng_one, n_steps)
+    assert one.time == manual.time
+    np.testing.assert_array_equal(one.positions, manual.positions)
+    np.testing.assert_array_equal(one.velocities, manual.velocities)
+    assert rng_one.random() == after
 
 
 @settings(max_examples=15, deadline=None)
