@@ -9,7 +9,8 @@ total_forces() sums four forces on fish i at the synchronous state:
 
 with rho_ij = r / |x_i - x_j| (rho_ii = 0) and sigma_i = R / d_i, each
 distance floored at EPS_DIST.  The ray along v_i first strikes a face with
-normal n_i at distance d_i (n_i = 0 when v_i = 0), and U is the scent.
+normal n_i at distance d_i; n_i = 0 and d_i = inf when it strikes nothing,
+as when v_i = 0.  U is the scent.
 step() and advance() integrate it explicitly, Euler-Maruyama style;
 advance() steps a (B, N, 2) batch of independent schools and returns only
 its final state.  Sampling a run is calling advance() in chunks, as
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Arena, _first_hits, clamp_many
+from .geometry import Arena, clamp_many, ray_hits_many
 from .scent import ScentField, sample_gradient_many
 
 # Pairwise and wall distances are floored here before entering the
@@ -126,7 +127,7 @@ def total_forces(positions: np.ndarray, velocities: np.ndarray, arena: Arena,
             force -= params.alignment * np.einsum("...ij,...ijk->...ik", rp + rq, dv)
     rows, vrows = positions.reshape(-1, 2), velocities.reshape(-1, 2)
     if params.avoidance != 0.0:
-        _, _, normals, hit_dist, _ = _first_hits(arena, rows, vrows)
+        normals, hit_dist = ray_hits_many(arena, rows, vrows)
         vn = (vrows * normals).sum(axis=1)
         ratio = params.R / np.maximum(hit_dist, EPS_DIST)
         coef = ratio**params.P + ratio**params.Q

@@ -170,19 +170,21 @@ def contains_many(arena: Arena, pts: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _first_hits(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
-    """Ray-cast core shared by ray_hits_many and total_forces.
+def ray_hits_many(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
+    """The first face each of N rays strikes: ``(normals, distances)``,
+    shapes (N, 2) and (N,).
 
-    Returns ``(has_hit, face, normals, distances, s)``: the index of the
-    face each ray strikes first (F where none is struck), its normal (zero
-    where none), the distance to it (inf where none), and the (N, F) ray
-    parameter of every valid face crossing (inf elsewhere).
+    A normal is the struck face's unit normal, which points into the fluid,
+    and a distance is Euclidean, so a direction need not be a unit vector.
+    A ray that strikes no face, such as one with a zero direction, has a
+    zero normal and an infinite distance, so ``np.isfinite(distances)``
+    marks the hits.  Corner ties go to the face whose constant axis carries
+    the larger |direction| component, x-axis faces winning exact ties.
     """
     _, _, cols, coords, lo, hi, rank, normals = arena._table
     n_rays, n_faces = origins.shape[0], coords.shape[0]
     if n_faces == 0:  # obstacles fill the tank: there is nothing to strike
-        return (np.zeros(n_rays, dtype=bool), np.zeros(n_rays, dtype=np.intp),
-                np.zeros((n_rays, 2)), np.full(n_rays, np.inf), np.zeros((n_rays, 0)))
+        return np.zeros((n_rays, 2)), np.full(n_rays, np.inf)
     o = origins[:, cols]                          # (N, 2, F): face axis, other axis
     d = dirs[:, cols]
     gap = coords - o[:, 0]
@@ -203,29 +205,7 @@ def _first_hits(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
     rows = np.arange(n_rays)
     # The hit lies on the face plane, coords - o away along the face axis.
     dist = np.hypot(gap[rows, best], hit_other[rows, best] - o[rows, 1, best])
-    face = np.where(has_hit, best, n_faces)
-    return has_hit, face, normals[face], np.where(has_hit, dist, np.inf), s
-
-
-def ray_hits_many(arena: Arena, origins: np.ndarray, dirs: np.ndarray):
-    """First boundary hit for each of N rays.
-
-    Returns ``(has_hit, points, normals, distances)`` with shapes
-    (N,), (N, 2), (N, 2), (N,).  Rows with a zero direction (or, in
-    degenerate floating-point situations, no face intersection) have
-    ``has_hit`` False.  Corner ties go to the face whose constant axis
-    carries the larger |direction| component, x-axis faces winning exact
-    ties.
-    """
-    t = arena._table
-    has_hit, face, normals, dist, s = _first_hits(arena, origins, dirs)
-    hit = np.flatnonzero(has_hit)
-    s_best = np.zeros(origins.shape[0])
-    s_best[hit] = s[hit, face[hit]]
-    points = origins + s_best[:, None] * dirs
-    # Snap the constant coordinate of the hit onto the face plane.
-    points[hit, t.cols[0, face[hit]]] = t.coords[face[hit]]
-    return has_hit, points, normals, np.where(has_hit, dist, 0.0)
+    return normals[np.where(has_hit, best, n_faces)], np.where(has_hit, dist, np.inf)
 
 
 def clamp_many(arena: Arena, pts: np.ndarray, eps: float):

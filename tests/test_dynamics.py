@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schoolsim.dynamics import (NOISE_BLOCK, ForceBlowUpError, ModelParams,
+from schoolsim.dynamics import (EPS_DIST, NOISE_BLOCK, ForceBlowUpError, ModelParams,
                                 SwarmState, advance, step, total_forces)
-from schoolsim.geometry import Arena, contains_many
+from schoolsim.geometry import Arena, contains_many, ray_hits_many
 from schoolsim.scent import ScentField
 
 from helpers import rect
@@ -162,6 +162,30 @@ def test_obstacle_force_fades_with_distance():
     near = forces(pair((1, 0.3), (5, 2), v1=(0, -0.5)), avoid)[0]
     far = forces(pair((1, 3.0), (5, 2), v1=(0, -0.5)), avoid)[0]
     assert near[1] > far[1] > 0
+
+
+def test_obstacle_force_is_built_from_ray_hits_many():
+    # The avoidance term, written out from the ray cast's normals and
+    # distances, equals total_forces bit for bit: the force law runs the
+    # ray_hits_many kernel itself.
+    avoid = replace(only("avoidance"), avoidance=1.7, P=2.5, Q=7.25)
+    school = SwarmState(0.0, np.array([[1.0, 3.0], [1.9, 2.8], [3.0, 1.0], [0.3, 0.2]]),
+                        np.array([[0.0, 0.0], [0.6, 0.1], [0.2, 0.7], [-0.4, -0.3]]))
+    # The first school heads into the baffle's x-lo face (x = 2), the second
+    # into its y-lo face (y = 2.5) and the tank's corner (4, 4); each has a
+    # still fish, whose ray strikes nothing.
+    other = SwarmState(0.0, np.array([[1.5, 1.0], [2.25, 1.5], [3.9, 3.9], [1.0, 1.0]]),
+                       np.array([[0.8, 0.0], [0.0, 0.5], [0.3, 0.3], [0.0, 0.0]]))
+    for st in (school, batch(school, other)):
+        rows, vrows = st.positions.reshape(-1, 2), st.velocities.reshape(-1, 2)
+        n, d = ray_hits_many(BAFFLE_ARENA, rows, vrows)
+        assert np.array_equal(d == np.inf, (vrows == 0.0).all(axis=1))
+        ratio = avoid.R / np.maximum(d, EPS_DIST)
+        vn = (vrows * n).sum(axis=1)
+        want = (-avoid.avoidance * (ratio**avoid.P + ratio**avoid.Q) * 2.0 * vn)[:, None] * n
+        got = forces(st, avoid, arena=BAFFLE_ARENA)
+        assert np.array_equal(got, want.reshape(st.positions.shape))
+        assert (got.reshape(-1, 2)[np.isfinite(d)] != 0.0).any(axis=1).all()
 
 
 def test_food_force_scales_with_sensitivity(field_config2):

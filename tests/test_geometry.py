@@ -28,10 +28,10 @@ def inside(arena, x, y):
 
 
 def cast(arena, origin, direction):
-    """One ray through ray_hits_many: (has_hit, point, normal, distance)."""
-    has_hit, pts, nrm, dist = ray_hits_many(arena, np.array([origin], float),
-                                            np.array([direction], float))
-    return has_hit[0], pts[0], nrm[0], dist[0]
+    """One ray through ray_hits_many: (normal, distance)."""
+    nrm, dist = ray_hits_many(arena, np.array([origin], float),
+                              np.array([direction], float))
+    return nrm[0], dist[0]
 
 
 def specular(v, n):
@@ -161,49 +161,39 @@ def test_face_table_order(name):
 # ---------------------------------------------------------------- ray casting
 
 def test_ray_straight_down_to_bottom_wall():
-    hit, point, normal, dist = cast(TANK, (1, 1), (0, -1))
-    assert hit
-    assert tuple(point) == (1.0, 0.0)
+    normal, dist = cast(TANK, (1, 1), (0, -1))
     assert tuple(normal) == (0.0, 1.0)
-    assert dist == pytest.approx(1.0, abs=1e-12)
+    assert dist == 1.0
 
 
 def test_ray_strikes_obstacle_face():
-    hit, point, normal, dist = cast(BAFFLE_ARENA, (1, 3), (1, 0))
-    assert hit
-    assert tuple(point) == (2.0, 3.0)
+    normal, dist = cast(BAFFLE_ARENA, (1, 3), (1, 0))
     assert tuple(normal) == (-1.0, 0.0)
-    assert dist == pytest.approx(1.0, abs=1e-12)
+    assert dist == 1.0
 
 
 def test_zero_direction_gives_no_hit():
-    hit, point, normal, dist = cast(TANK, (1, 1), (0, 0))
-    assert not hit
-    assert tuple(point) == (1.0, 1.0)
-    assert tuple(normal) == (0.0, 0.0) and dist == 0.0
+    normal, dist = cast(TANK, (1, 1), (0, 0))
+    assert tuple(normal) == (0.0, 0.0) and dist == np.inf
     # a tank filled by its obstacle has no face to strike at all
     solid = Arena(rect(0, 0, 1, 1), (rect(0, 0, 1, 1),))
-    hit, point, normal, dist = cast(solid, (0.5, 0.5), (1, 0.5))
-    assert not hit
-    assert tuple(point) == (0.5, 0.5)
-    assert tuple(normal) == (0.0, 0.0) and dist == 0.0
+    normal, dist = cast(solid, (0.5, 0.5), (1, 0.5))
+    assert tuple(normal) == (0.0, 0.0) and dist == np.inf
 
 
 def test_corner_hit_prefers_face_with_larger_direction_component():
     # exact diagonal: tie broken toward the x face
-    hit, point, normal, _ = cast(UNIT_SQUARE, (0.5, 0.5), (1, 1))
-    assert hit
-    assert tuple(point) == (1.0, 1.0)
+    normal, dist = cast(UNIT_SQUARE, (0.5, 0.5), (1, 1))
     assert tuple(normal) == (-1.0, 0.0)
+    assert dist == np.hypot(0.5, 0.5)
     # steeper ray into the same corner: the y face supplies the normal
-    hit, point, normal, _ = cast(UNIT_SQUARE, (0.6, 0.2), (1, 2))
-    assert hit
-    assert tuple(point) == (1.0, 1.0)
+    normal, dist = cast(UNIT_SQUARE, (0.6, 0.2), (1, 2))
     assert tuple(normal) == (0.0, -1.0)
+    assert dist == pytest.approx(np.hypot(0.4, 0.8), abs=1e-12)
 
 
 def test_ray_distance_is_euclidean_for_unnormalized_dir():
-    _, _, _, dist = cast(TANK, (1, 1), (0, -7))
+    _, dist = cast(TANK, (1, 1), (0, -7))
     assert dist == pytest.approx(1.0, abs=1e-12)
 
 
@@ -214,16 +204,13 @@ def test_first_hit_matches_brute_force(arena):
     origins = random_fluid_points(arena, n, rng)
     angles = rng.uniform(0, 2 * np.pi, size=n)
     dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-    has_hit, points, normals, distances = ray_hits_many(arena, origins, dirs)
-    assert has_hit.all()
+    normals, distances = ray_hits_many(arena, origins, dirs)
+    assert np.isfinite(distances).all()
     for i in range(n):
         s, axis, sign = brute_first_hit(arena, origins[i], dirs[i])
         assert distances[i] == pytest.approx(s, abs=1e-9)
         assert normals[i, axis] == sign
         assert normals[i, 1 - axis] == 0.0
-        # the hit point sits exactly on the reported face plane
-        expected = origins[i] + s * dirs[i]
-        np.testing.assert_allclose(points[i], expected, atol=1e-9)
 
 
 @pytest.mark.parametrize("arena", ALL_ARENAS)
@@ -234,8 +221,8 @@ def test_reflection_properties(arena):
     speeds = rng.uniform(0.01, 1.0, size=n)
     angles = rng.uniform(0, 2 * np.pi, size=n)
     vels = speeds[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
-    has_hit, _, normals, _ = ray_hits_many(arena, origins, vels)
-    assert has_hit.all()
+    normals, distances = ray_hits_many(arena, origins, vels)
+    assert np.isfinite(distances).all()
     for v, nrm in zip(vels, normals):
         rf = specular(v, nrm)
         # norm preservation
@@ -252,20 +239,20 @@ def test_reflection_properties(arena):
 
 
 def test_perpendicular_reflection_is_exact_reversal():
-    _, point, normal, _ = cast(TANK, (1, 1), (0, -2))
+    normal, dist = cast(TANK, (1, 1), (0, -2))
     assert tuple(specular((0.0, -2.0), normal)) == (0.0, 2.0)
-    assert tuple(point) == (1.0, 0.0)
+    assert dist == 1.0
 
 
 def test_diagonal_reflection_off_bottom_wall():
-    _, _, normal, _ = cast(TANK, (1, 1), (1, -1))
+    normal, _ = cast(TANK, (1, 1), (1, -1))
     assert tuple(specular((1.0, -1.0), normal)) == (1.0, 1.0)
 
 
 def test_zero_velocity_reflects_to_itself():
-    hit, _, normal, _ = cast(TANK, (1, 1), (0, 0))
+    normal, dist = cast(TANK, (1, 1), (0, 0))
     assert tuple(specular((0.0, 0.0), normal)) == (0.0, 0.0)
-    assert not hit
+    assert dist == np.inf
 
 
 def test_perpendicular_reversal_on_constructed_rays():
@@ -276,9 +263,9 @@ def test_perpendicular_reversal_on_constructed_rays():
         pts = random_fluid_points(arena, 50, rng)
         origins = np.repeat(pts, len(axis_dirs), axis=0)
         dirs = np.tile(axis_dirs, (len(pts), 1))
-        has_hit, _, normals, _ = ray_hits_many(arena, origins, dirs)
-        for hit, d, nrm in zip(has_hit, dirs, normals):
-            if not hit:
+        normals, distances = ray_hits_many(arena, origins, dirs)
+        for dist, d, nrm in zip(distances, dirs, normals):
+            if not np.isfinite(dist):
                 continue
             if abs(nrm @ d) == 1.0:  # perpendicular impact
                 assert tuple(specular(d, nrm)) == (-d[0], -d[1])
@@ -423,4 +410,4 @@ def test_grid_arenas_keep_every_point_in_the_fluid(arena, seed):
     assert np.isfinite(sample_gradient_many(field, clamped)).all()
 
     dirs = rng.standard_normal(clamped.shape)
-    assert ray_hits_many(arena, clamped, dirs)[0].all()
+    assert np.isfinite(ray_hits_many(arena, clamped, dirs)[1]).all()
