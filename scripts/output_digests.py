@@ -58,7 +58,11 @@ CASES = (
        # Every sweep value from --set alone: the config path of the flags.
        ("sweep config2 N=2-3 trials=4 from --set", "config2",
         ["sweep", "--per-trial", "--set", "sweep.n_min=2", "--set", "sweep.n_max=3",
-         "--set", "sweep.trials=4", "--set", "sweep.base_seed=1234"])]
+         "--set", "sweep.trials=4", "--set", "sweep.base_seed=1234"]),
+       # Without --per-trial: results.csv alone.
+       ("sweep config2 N=2-3 trials=4 horizon=5", "config2",
+        ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "4",
+         "--seed", "1234", "--set", "horizon=5"])]
 )
 # The cases whose output CSV `plot` draws, by label: the file it reads, and
 # whether `plot` also reads the case's config, for the arena and the food.

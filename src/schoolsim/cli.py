@@ -30,8 +30,7 @@ import numpy
 from . import __version__, tables
 from .config import ConfigError, RunSpec, SweepSpec, config_to_dict, parse_config
 from .experiment import (run_sweep, run_trial, read_results_csv,
-                         read_trajectory_csv, write_results_csv,
-                         write_trials_csv, write_trajectory_csv)
+                         read_trajectory_csv, write_trajectory_csv)
 from .plots import render_heatmap, render_success_curve, render_trajectories, write_svg
 from .scent import read_field_csv, solve_field, write_field_csv
 
@@ -191,14 +190,14 @@ def cmd_sweep(args) -> int:
 
     n_values = list(range(sw.n_min, sw.n_max + 1))
     t0 = time.perf_counter()
-    result = run_sweep(spec.trial, n_values, sw.trials, sw.base_seed, parallelism=sw.jobs,
-                       spacing=spec.spacing)
+    results, trials = run_sweep(spec.trial, n_values, sw.trials, sw.base_seed,
+                                parallelism=sw.jobs, spacing=spec.spacing)
     elapsed = time.perf_counter() - t0
     _write_manifest(args, man_path, overrides, spec, per_trial=args.per_trial)
-    write_results_csv(result, results_path)
+    tables.write(results_path, "results", [results.values()])
     if args.per_trial:
-        write_trials_csv(result, targets[1])
-    for n, t, _, _, s, prob in zip(*result.results.values()):
+        tables.write(targets[1], "trials", [trials.values()])
+    for n, t, _, _, s, prob in zip(*results.values()):
         print(f"N={n:3d}: {s}/{t} success ({prob:.3f})")
     print(f"wrote {results_path} ({elapsed:.1f} s)")
     return 0
@@ -238,7 +237,7 @@ def cmd_plot(args) -> int:
     if kind == "field":
         text = render_heatmap(read_field_csv(args.input), arena=arena, food_center=food)
     elif kind == "results":
-        text = render_success_curve(read_results_csv(args.input).results)
+        text = render_success_curve(read_results_csv(args.input))
         if text is None:
             print(f"warning: {args.input} holds no sweep points, skipping plot",
                   file=sys.stderr)

@@ -45,6 +45,8 @@ class SweepSpec:
             raise ValueError(f"bad school-size range [{lo}, {hi}]")
         if self.trials is not None and self.trials < 1:
             raise ValueError(f"SweepSpec.trials must be positive, got {self.trials}")
+        if self.base_seed is not None and not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"SweepSpec.base_seed must be in [0, 2**64), got {self.base_seed}")
         if self.jobs < 1:
             raise ValueError(f"SweepSpec.jobs must be positive, got {self.jobs}")
 

@@ -102,21 +102,6 @@ class TrialOutcome:
     trajectory: list | None = dc_field(compare=False, repr=False, default=None)
 
 
-@dataclass
-class ExperimentResult:
-    """Sweep outcomes as two tables of columns.
-
-    results holds one row per school size, in the requested order, keyed
-    like the results CSV header (see results_table).  trials holds one row
-    per trial in (N, trial index) order: "N", "trial_index", "seed"
-    (uint64), and the columns of run_trials.  It is empty when the result is
-    read back from a results CSV.
-    """
-
-    results: dict
-    trials: dict = dc_field(default_factory=dict)
-
-
 def results_table(counts) -> dict:
     """The results table of a (sizes, 5) int array of N, trials and the failure,
     presuccess and success counts: one column per name of the results CSV
@@ -140,9 +125,10 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     as one batch.  The field is solved when not supplied.
 
     Returns ``(columns, wall_clock, samples)``.  columns maps each endpoint
-    measure to one row per seed: "outcome" (OutcomeState objects),
-    "center" (school centres, (B, 2)) and "components".  Row b equals the
-    trial of seeds[b] run alone.  wall_clock is the time of the whole
+    measure to one row per seed, under the names of the trials CSV header:
+    "outcome" (OutcomeState objects), "final_center_x", "final_center_y"
+    (the school centre) and "components".  Row b equals the trial of
+    seeds[b] run alone.  wall_clock is the time of the whole
     batch.  The batch steps in chunks of traj_stride steps, the last one
     possibly shorter (0: one chunk).  When traj_stride > 0, samples[b] lists
     school b's state before and after each chunk, as views of two
@@ -173,8 +159,9 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     except ForceBlowUpError as e:  # name the seeds, which replay with `run --seed`
         raise ForceBlowUpError(f"trial seed(s) {[seeds[b] for b in e.schools]}: {e}") from e
     wall_clock = time.perf_counter() - started
+    center = school_center(state)
     columns = {"outcome": classify(state, config.classifier),
-               "center": school_center(state),
+               "final_center_x": center[:, 0], "final_center_y": center[:, 1],
                "components": connected_components(state, config.classifier.component_delta)}
     samples = ([[SwarmState(t, positions[i, b], velocities[i, b]) for i, t in enumerate(times)]
                 for b in range(len(rngs))] if traj_stride else [])
@@ -187,15 +174,22 @@ def run_trial(config: TrialConfig, field: ScentField | None = None, *,
     """Run the trial seeded by config.seed: run_trials on a batch of one."""
     columns, wall_clock, samples = run_trials(config, [config.seed], field, spacing=spacing,
                                               traj_stride=traj_stride)
-    return TrialOutcome(columns["outcome"][0], Vec2(*columns["center"][0].tolist()),
+    return TrialOutcome(columns["outcome"][0],
+                        Vec2(columns["final_center_x"].item(), columns["final_center_y"].item()),
                         columns["components"][0].item(), wall_clock,
                         samples[0] if samples else None)
 
 
 def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
               parallelism: int = 1, *, spacing: float = DEFAULT_SPACING,
-              field: ScentField | None = None) -> ExperimentResult:
+              field: ScentField | None = None) -> tuple[dict, dict]:
     """Run `trials` trials at every school size in n_values.
+
+    Returns ``(results, trials)``, two tables of columns keyed by the
+    results and trials CSV headers, in their order.  results holds one row
+    per school size, in the requested order (see results_table).  trials
+    holds one row per trial in (N, trial index) order: "N", "trial_index",
+    "seed" (uint64), and the columns of run_trials.
 
     Trial seeds come from trial_seed(base_seed, N, index), so the result
     is a pure function of (base, n_values, trials, base_seed) regardless
@@ -234,12 +228,10 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
     # Per N, the count of each outcome, in the results header's order.
     outcome = columns["outcome"].reshape(len(n_values), trials, 1)
     counts = np.count_nonzero(outcome == list(OutcomeState), axis=1)
-    return ExperimentResult(
-        results=results_table(np.column_stack(
-            (n_values, np.full(len(n_values), trials), counts))),
-        trials={"N": np.repeat(n_values, trials),
-                "trial_index": np.tile(np.arange(trials), len(n_values)),
-                "seed": seeds.ravel(), **columns})
+    return (results_table(np.column_stack((n_values, np.full(len(n_values), trials), counts))),
+            {"N": np.repeat(n_values, trials),
+             "trial_index": np.tile(np.arange(trials), len(n_values)),
+             "seed": seeds.ravel(), **columns})
 
 
 def builtin_config(name: str) -> TrialConfig:
@@ -295,12 +287,7 @@ def builtin_config(name: str) -> TrialConfig:
     )
 
 
-def write_results_csv(result: ExperimentResult, path):
-    """One row per school size with outcome counts."""
-    tables.write(path, "results", [result.results.values()])
-
-
-def read_results_csv(path) -> ExperimentResult:
+def read_results_csv(path) -> dict:
     """The results table of a results CSV, success_probability recomputed.
     Raises ValueError unless each row's counts are integers, with trials >= 1
     and nonnegative outcome counts that sum to trials."""
@@ -310,14 +297,7 @@ def read_results_csv(path) -> ExperimentResult:
             or (counts[:, 2:].sum(axis=1) != counts[:, 1]).any()):
         raise ValueError("results CSV counts must be integers, with trials >= 1 and "
                          "nonnegative outcome counts that sum to trials")
-    return ExperimentResult(results=results_table(counts))
-
-
-def write_trials_csv(result: ExperimentResult, path):
-    """One row per trial with its seed and endpoint summary."""
-    t = result.trials
-    tables.write(path, "trials", [(t["N"], t["trial_index"], t["seed"], t["outcome"],
-                                   *t["center"].T, t["components"])] if t else [])
+    return results_table(counts)
 
 
 def write_trajectory_csv(samples, path):

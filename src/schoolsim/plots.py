@@ -138,15 +138,12 @@ def _png(raw: np.ndarray, width: int, height: int) -> bytes:
 
 def pick_instants(times, requested=None):
     """Times to draw: the requested instants, or PANELS evenly spaced ones."""
-    times = list(times)
+    times = np.asarray(times, dtype=float)
     if requested is None:
         lo, hi = times[0], times[-1]
         requested = [lo + (hi - lo) * k / (PANELS - 1) for k in range(PANELS)]
-    picked = []
-    for t in requested:
-        idx = min(range(len(times)), key=lambda k: (abs(times[k] - t), k))
-        picked.append(idx)
-    return picked
+    # argmin takes the first of equal distances: a tie goes to the earlier sample.
+    return [int(np.abs(times - t).argmin()) for t in requested]
 
 
 def render_trajectories(samples, instants=None, arena: Arena | None = None,

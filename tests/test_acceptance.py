@@ -38,8 +38,8 @@ BIG = Arena(rect(-500, -500, 500, 500))
 def open_tank_sweep(config1_left, field_config1_left):
     """30 trials of the open-tank setup at N=10 (criteria 6 and 9)."""
     t0 = time.perf_counter()
-    res = run_sweep(config1_left, [10], 30, 123, field=field_config1_left)
-    return res, time.perf_counter() - t0
+    results, trials = run_sweep(config1_left, [10], 30, 123, field=field_config1_left)
+    return results, trials, time.perf_counter() - t0
 
 
 # ----------------------------------------------------------------- criteria
@@ -195,8 +195,8 @@ def test_c05_integrator_strong_order():
 
 @pytest.mark.slow
 def test_c06_open_tank_success_rate(open_tank_sweep):
-    res, wall = open_tank_sweep
-    pt = {name: col.item() for name, col in res.results.items()}  # the one row, N=10
+    results, _, wall = open_tank_sweep
+    pt = {name: col.item() for name, col in results.items()}  # the one row, N=10
     ok = pt["success_probability"] >= 0.9 and wall < 300.0
     line = report(6, ok, f"success {pt['success_count']}/{pt['trials']} at N=10 "
                          f"in {wall:.0f}s (budget 300s)")
@@ -206,9 +206,9 @@ def test_c06_open_tank_success_rate(open_tank_sweep):
 @pytest.mark.slow
 def test_c07_baffle_success_vs_school_size(config2, field_config2):
     t0 = time.perf_counter()
-    res = run_sweep(config2, [2, 5, 20], 50, 1234, field=field_config2)
+    results, _ = run_sweep(config2, [2, 5, 20], 50, 1234, field=field_config2)
     wall = time.perf_counter() - t0
-    p2, p5, p20 = res.results["success_probability"].tolist()
+    p2, p5, p20 = results["success_probability"].tolist()
     rise_ok = p5 - p2 >= 0.1
     fall_ok = p20 <= p5 + 0.1
     ok = rise_ok and fall_ok and wall < 900.0
@@ -224,9 +224,9 @@ def test_c07_baffle_success_vs_school_size(config2, field_config2):
 @pytest.mark.slow
 def test_c08_two_obstacle_outcome_spread(config3, field_config3):
     t0 = time.perf_counter()
-    res = run_sweep(config3, [10], 20, 777, field=field_config3)
+    results, _ = run_sweep(config3, [10], 20, 777, field=field_config3)
     wall = time.perf_counter() - t0
-    pt = {name: col.item() for name, col in res.results.items()}  # the one row, N=10
+    pt = {name: col.item() for name, col in results.items()}  # the one row, N=10
     others = pt["failure_count"] + pt["presuccess_count"]
     ok = pt["success_count"] >= 1 and others >= 1
     line = report(8, ok, f"{pt['success_count']} success / {pt['presuccess_count']} "
@@ -237,8 +237,8 @@ def test_c08_two_obstacle_outcome_spread(config3, field_config3):
 
 @pytest.mark.slow
 def test_c09_school_cohesion(open_tank_sweep):
-    res, _ = open_tank_sweep
-    components = res.trials["components"]
+    _, trials, _ = open_tank_sweep
+    components = trials["components"]
     single = int(np.count_nonzero(components == 1))
     frac = single / len(components)
     ok = frac >= 0.95
@@ -271,9 +271,9 @@ def test_c10_parallel_determinism(tmp_path):
 def test_c11_half_step_robustness(config1_left, field_config1_left):
     fine = replace(config1_left, params=replace(config1_left.params, dt=0.005))
     t0 = time.perf_counter()
-    res = run_sweep(fine, [10], 30, 123, field=field_config1_left)
+    results, _ = run_sweep(fine, [10], 30, 123, field=field_config1_left)
     wall = time.perf_counter() - t0
-    pt = {name: col.item() for name, col in res.results.items()}  # the one row, N=10
+    pt = {name: col.item() for name, col in results.items()}  # the one row, N=10
     ok = pt["success_probability"] >= 0.9
     line = report(11, ok, f"success {pt['success_count']}/{pt['trials']} at dt=0.005 "
                           f"in {wall:.0f}s")

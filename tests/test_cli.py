@@ -169,7 +169,8 @@ def test_sweep_falls_back_to_config_sweep_section(tmp_path):
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert (out / "results.csv").exists()
+    # without --per-trial there is no trials.csv
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.csv"]
 
 
 def test_sweep_requires_a_range(tmp_path):
@@ -186,6 +187,18 @@ def test_sweep_rejects_bad_jobs_flag(tmp_path, capsys, jobs):
                  "--n-min", "2", "--n-max", "2", "--trials", "1",
                  "--seed", "9", "--jobs", jobs]) == 1
     assert f"SweepSpec.jobs must be positive, got {jobs}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sweep_rejects_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    # trial_seed masks to 64 bits: -1 ran the sweep of 2**64 - 1, and 2**64 that of 0
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--n-min", "2", "--n-max", "2", "--trials", "1",
+                 "--seed", seed]) == 1
+    assert f"SweepSpec.base_seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -75,6 +75,9 @@ def test_spacing_and_sweep_sections(tmp_path):
     assert spec.sweep == SweepSpec(n_min=2, n_max=8, trials=10, base_seed=99, jobs=2)
     partial = load(tmp_path, {"builtin": "config2", "sweep": {"trials": 5}})
     assert partial.sweep == SweepSpec(trials=5)
+    for seed in (0, 2**64 - 1):  # either end of the seed range
+        edge = load(tmp_path, {"builtin": "config2", "sweep": {"base_seed": seed}})
+        assert edge.sweep == SweepSpec(base_seed=seed)
 
 
 @pytest.mark.parametrize("sweep, message", [
@@ -83,6 +86,8 @@ def test_spacing_and_sweep_sections(tmp_path):
     ({"n_min": 5, "n_max": 4}, "bad school-size range [5, 4]"),
     ({"trials": 0}, "SweepSpec.trials must be positive, got 0"),
     ({"jobs": 0}, "SweepSpec.jobs must be positive, got 0"),
+    ({"base_seed": -1}, "SweepSpec.base_seed must be in [0, 2**64), got -1"),
+    ({"base_seed": 2**64}, f"SweepSpec.base_seed must be in [0, 2**64), got {2**64}"),
 ])
 def test_bad_sweep_section_is_rejected_when_parsed(tmp_path, sweep, message):
     with pytest.raises(ConfigError, match=re.escape(f"sweep: {message}")):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schoolsim import tables
 from schoolsim.dynamics import ForceBlowUpError, ModelParams
 from schoolsim.experiment import (SHARD_TRIALS, TrialConfig, builtin_config,
                                   initial_state, read_results_csv,
                                   read_trajectory_csv, run_sweep, run_trial,
-                                  run_trials, trial_seed, write_results_csv,
-                                  write_trajectory_csv, write_trials_csv)
+                                  run_trials, trial_seed, write_trajectory_csv)
 from schoolsim.geometry import AxisRect, Vec2
 from schoolsim.metrics import OutcomeState
 from schoolsim.plots import render_success_curve
@@ -29,7 +29,8 @@ def coarse_field(config, spacing=0.05):
 
 def endpoint(columns, k):
     """Row k of the endpoint columns: outcome, centre bits and components."""
-    return (columns["outcome"][k], columns["center"][k].tobytes(),
+    return (columns["outcome"][k],
+            np.array([columns["final_center_x"][k], columns["final_center_y"][k]]).tobytes(),
             columns["components"][k].item())
 
 
@@ -201,8 +202,8 @@ def test_run_trials_equals_each_trial_alone(config2, field_config2, b, n, first,
     cfg = dataclasses.replace(config2, n_fish=n, horizon=1.5)
     seeds = [first + 7 * k for k in range(b)]
     columns, wall_clock, samples = run_trials(cfg, seeds, field_config2, traj_stride=stride)
-    assert set(columns) == {"outcome", "center", "components"}
-    assert columns["center"].shape == (b, 2)
+    assert list(columns) == ["outcome", "final_center_x", "final_center_y", "components"]
+    assert columns["final_center_x"].shape == columns["final_center_y"].shape == (b,)
     assert len(columns["outcome"]) == len(columns["components"]) == len(samples) == b
     assert wall_clock > 0.0  # the time of the one batch
     for k, seed in enumerate(seeds):
@@ -221,14 +222,13 @@ def test_run_trials_equals_each_trial_alone(config2, field_config2, b, n, first,
 def test_singleton_sweep():
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
-    res = run_sweep(cfg, [2], trials=1, base_seed=7, field=coarse_field(base))
-    r = res.results
+    r, t = run_sweep(cfg, [2], trials=1, base_seed=7, field=coarse_field(base))
     assert all(len(col) == 1 for col in r.values())
-    assert all(len(col) == 1 for col in res.trials.values())
+    assert all(len(col) == 1 for col in t.values())
     assert r["N"].tolist() == [2] and r["trials"].tolist() == [1]
     assert (r["failure_count"] + r["presuccess_count"] + r["success_count"]).tolist() == [1]
     assert r["success_probability"].tolist() in ([0.0], [1.0])
-    assert res.trials["seed"].tolist() == [trial_seed(7, 2, 0)]
+    assert t["seed"].tolist() == [trial_seed(7, 2, 0)]
 
 
 def test_sweep_independent_of_parallelism():
@@ -240,15 +240,16 @@ def test_sweep_independent_of_parallelism():
     for parallelism in (2, 3):
         pooled = run_sweep(cfg, [2, 3], trials=4, base_seed=11,
                            parallelism=parallelism, field=field)
-        assert serial.results.keys() == pooled.results.keys()
-        for name, col in serial.results.items():
-            assert col.dtype == pooled.results[name].dtype
-            assert np.array_equal(col, pooled.results[name])
-        assert serial.trials.keys() == pooled.trials.keys()
-        for name, col in serial.trials.items():
-            assert col.dtype == pooled.trials[name].dtype
-            assert col.tolist() == pooled.trials[name].tolist()
-        assert serial.trials["center"].tobytes() == pooled.trials["center"].tobytes()
+        # each table is keyed by its CSV header, in the header's order
+        for results, trials in (serial, pooled):
+            assert list(results) == tables.HEADERS["results"]
+            assert list(trials) == tables.HEADERS["trials"]
+        for got, want in zip(serial, pooled):
+            for name, col in got.items():
+                assert col.dtype == want[name].dtype
+                assert col.tolist() == want[name].tolist()
+        for name in ("final_center_x", "final_center_y"):
+            assert serial[1][name].tobytes() == pooled[1][name].tobytes()
 
 
 def test_sweep_pool_has_at_most_one_worker_per_shard(monkeypatch):
@@ -283,27 +284,25 @@ def test_sweep_beyond_shard_cap_matches_single_trials():
     cfg = dataclasses.replace(base, horizon=0.05)
     field = coarse_field(base)
     trials = SHARD_TRIALS + 3
-    res = run_sweep(cfg, [2], trials=trials, base_seed=23, field=field)
-    assert res.trials["N"].tolist() == [2] * trials
-    assert res.trials["trial_index"].tolist() == list(range(trials))
-    for k, seed in enumerate(res.trials["seed"].tolist()):
+    _, t = run_sweep(cfg, [2], trials=trials, base_seed=23, field=field)
+    assert t["N"].tolist() == [2] * trials
+    assert t["trial_index"].tolist() == list(range(trials))
+    for k, seed in enumerate(t["seed"].tolist()):
         assert seed == trial_seed(23, 2, k)
         alone = run_trial(dataclasses.replace(cfg, n_fish=2, seed=seed), field)
-        assert endpoint(res.trials, k) == endpoint_alone(alone)
+        assert endpoint(t, k) == endpoint_alone(alone)
 
 
 def test_sweep_count_identity():
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
-    res = run_sweep(cfg, [2, 4], trials=5, base_seed=3, field=coarse_field(base))
-    r = res.results
+    r, t = run_sweep(cfg, [2, 4], trials=5, base_seed=3, field=coarse_field(base))
     assert r["N"].tolist() == [2, 4]
     assert r["trials"].tolist() == [5, 5]
     assert (r["failure_count"] + r["presuccess_count"] + r["success_count"]).tolist() == [5, 5]
     assert r["success_probability"].tolist() == [s / 5 for s in r["success_count"].tolist()]
     assert ((0.0 <= r["success_probability"]) & (r["success_probability"] <= 1.0)).all()
     # the columns carry the derived per-trial seeds in order
-    t = res.trials
     assert t["N"].tolist() == [2] * 5 + [4] * 5
     assert t["trial_index"].tolist() == [0, 1, 2, 3, 4] * 2
     assert t["seed"].tolist() == [trial_seed(3, n, j) for n in (2, 4) for j in range(5)]
@@ -358,16 +357,17 @@ def test_sweep_blowup_names_the_trial_seed(parallelism):
 def test_results_csv_round_trip(tmp_path):
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
-    res = run_sweep(cfg, [2, 3], trials=4, base_seed=19, field=coarse_field(base))
+    results, _ = run_sweep(cfg, [2, 3], trials=4, base_seed=19, field=coarse_field(base))
     path = tmp_path / "results.csv"
-    write_results_csv(res, path)
+    tables.write(path, "results", [results.values()])
     back = read_results_csv(path)
-    assert back.results.keys() == res.results.keys()
-    for name, col in res.results.items():
-        assert col.dtype == back.results[name].dtype
-        assert np.array_equal(col, back.results[name])
-    assert render_success_curve(back.results) == render_success_curve(res.results)
-    assert back.trials == {}
+    assert list(back) == list(results)
+    # ints stay ints, and success_probability keeps its bits
+    for name, col in results.items():
+        assert col.dtype == back[name].dtype
+        assert np.array_equal(col, back[name])
+        assert col.tobytes() == back[name].tobytes()
+    assert render_success_curve(back) == render_success_curve(results)
     with pytest.raises(ValueError):
         read_results_csv(__file__)  # wrong header
 
@@ -375,9 +375,9 @@ def test_results_csv_round_trip(tmp_path):
 def test_trials_csv_lists_every_trial(tmp_path):
     base = builtin_config("config2")
     cfg = dataclasses.replace(base, horizon=0.5)
-    res = run_sweep(cfg, [2], trials=3, base_seed=19, field=coarse_field(base))
+    _, trials = run_sweep(cfg, [2], trials=3, base_seed=19, field=coarse_field(base))
     path = tmp_path / "trials.csv"
-    write_trials_csv(res, path)
+    tables.write(path, "trials", [trials.values()])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "N,trial_index,seed,outcome,final_center_x,final_center_y,components"
     assert len(lines) == 4

@@ -1,4 +1,4 @@
-"""CSV outputs: writer bytes against per-row reference formatters, readers
+"""CSV outputs: written bytes against per-row reference formatters, readers
 that accept rows in any order, and the errors a malformed file raises."""
 
 import csv
@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from schoolsim import tables
 from schoolsim.cli import main
 from schoolsim.dynamics import SwarmState
-from schoolsim.experiment import (ExperimentResult, read_results_csv, read_trajectory_csv,
-                                  results_table, write_results_csv,
-                                  write_trajectory_csv, write_trials_csv)
+from schoolsim.experiment import (read_results_csv, read_trajectory_csv, results_table,
+                                  write_trajectory_csv)
 from schoolsim.geometry import Arena, AxisRect, Vec2
 from schoolsim.metrics import OutcomeState
 from schoolsim.scent import FoodSpec, read_field_csv, solve_field, write_field_csv
@@ -25,7 +25,7 @@ AWKWARD = [0.1 + 0.2, -0.0, 1e-05, 1e16, 5e-324, -1.7976931348623157e308,
 
 # ------------------------------------------------------ reference formatters
 # The per-row loops that wrote each kind before the columns were written as
-# arrays.  The writers must produce their bytes exactly.
+# arrays.  The written tables must have their bytes exactly.
 
 def reference_field_csv(field, path):
     xs, ys = field.cell_centers()
@@ -42,12 +42,11 @@ def reference_field_csv(field, path):
                 ])
 
 
-def reference_results_csv(result, path):
+def reference_results_csv(r, path):
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["N", "trials", "failure_count", "presuccess_count",
                       "success_count", "success_probability"])
-        r = result.results
         for k in range(len(r["N"])):
             n, trials, failure, presuccess, success = (
                 int(r[name][k]) for name in ("N", "trials", "failure_count",
@@ -55,16 +54,15 @@ def reference_results_csv(result, path):
             out.writerow([n, trials, failure, presuccess, success, repr(success / trials)])
 
 
-def reference_trials_csv(result, path):
+def reference_trials_csv(t, path):
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["N", "trial_index", "seed", "outcome",
                       "final_center_x", "final_center_y", "components"])
-        t = result.trials
-        for k in range(len(t["N"]) if t else 0):
+        for k in range(len(t["N"])):
             out.writerow([int(t["N"][k]), int(t["trial_index"][k]), int(t["seed"][k]),
-                          t["outcome"][k].value, repr(float(t["center"][k, 0])),
-                          repr(float(t["center"][k, 1])), int(t["components"][k])])
+                          t["outcome"][k].value, repr(float(t["final_center_x"][k])),
+                          repr(float(t["final_center_y"][k])), int(t["components"][k])])
 
 
 def reference_trajectory_csv(samples, path):
@@ -92,15 +90,17 @@ def small_field(request):
     return solve_small(request.param)
 
 
-def sweep_result():
+def sweep_tables():
+    """A results and a trials table in the form run_sweep returns, by kind."""
     results = results_table([(2, 3, 1, 0, 2), (7, 3, 3, 0, 0), (11, 7, 1, 2, 4)])
     seeds = [0, 1, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
     trials = {"N": np.array([2, 2, 7, 7, 11, 11]), "trial_index": np.arange(6),
               "seed": np.array(seeds, dtype=np.uint64),
               "outcome": np.array(list(OutcomeState) * 2, dtype=object),
-              "center": np.column_stack((AWKWARD[:6], AWKWARD[::-1][:6])),
+              "final_center_x": np.array(AWKWARD[:6]),
+              "final_center_y": np.array(AWKWARD[::-1][:6]),
               "components": np.array([1, 2, 3, 1, 1, 4])}
-    return ExperimentResult(results=results, trials=trials)
+    return {"results": results, "trials": trials}
 
 
 def samples():
@@ -122,26 +122,33 @@ def test_field_csv_bytes_match_reference(tmp_path, small_field):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-@pytest.mark.parametrize("write, reference, data", [
-    (write_results_csv, reference_results_csv, sweep_result),
-    (write_trials_csv, reference_trials_csv, sweep_result),
-    (write_trajectory_csv, reference_trajectory_csv, samples),
-])
-def test_csv_bytes_match_reference(tmp_path, write, reference, data):
-    write(data(), tmp_path / "got.csv")
-    reference(data(), tmp_path / "want.csv")
+REFERENCES = {"results": reference_results_csv, "trials": reference_trials_csv}
+
+
+@pytest.mark.parametrize("kind", REFERENCES)
+def test_sweep_table_bytes_match_reference(tmp_path, kind):
+    # as `schoolsim sweep` writes each table of run_sweep
+    table = sweep_tables()[kind]
+    tables.write(tmp_path / "got.csv", kind, [table.values()])
+    REFERENCES[kind](table, tmp_path / "want.csv")
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
-    if write is write_trials_csv:
+    if kind == "trials":
         assert f",{2**64 - 1},".encode() in got and f",{2**63},".encode() in got
 
 
+def test_trajectory_csv_bytes_match_reference(tmp_path):
+    write_trajectory_csv(samples(), tmp_path / "got.csv")
+    reference_trajectory_csv(samples(), tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 def test_empty_results_and_trials_write_only_the_header(tmp_path):
-    empty = ExperimentResult(results=results_table(np.empty((0, 5))))
-    for write, reference in ((write_results_csv, reference_results_csv),
-                             (write_trials_csv, reference_trials_csv)):
-        write(empty, tmp_path / "got.csv")
-        reference(empty, tmp_path / "want.csv")
+    empty = {"results": results_table(np.empty((0, 5))),
+             "trials": {name: [] for name in tables.HEADERS["trials"]}}
+    for kind, reference in REFERENCES.items():
+        tables.write(tmp_path / "got.csv", kind, [empty[kind].values()])
+        reference(empty[kind], tmp_path / "want.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -187,8 +194,8 @@ def one_of_each(tmp_path):
     files = {kind: tmp_path / f"{kind}.csv" for kind in ("field", "results", "trials",
                                                          "trajectory")}
     write_field_csv(solve_small(0.05), files["field"])
-    write_results_csv(sweep_result(), files["results"])
-    write_trials_csv(sweep_result(), files["trials"])
+    for kind, table in sweep_tables().items():
+        tables.write(files[kind], kind, [table.values()])
     write_trajectory_csv(samples(), files["trajectory"])
     return files
 
