@@ -44,6 +44,9 @@ CASES = (
     # 3000 steps in chunks of 7: the last chunk is 4 steps long.
     + [("run config3 seed=1234 horizon=30 --traj-stride 7", "config3",
         ["run", "--seed", "1234", "--set", "horizon=30", "--traj-stride", "7"])]
+    # Off the default spacing: run solves its own field at the spacing asked for.
+    + [("run config3 seed=1234 horizon=30 spacing=0.05", "config3",
+        ["run", "--seed", "1234", "--set", "horizon=30", "--set", "spacing=0.05"])]
     + [("sweep config2 N=2-4 trials=6", "config2",
         ["sweep", "--n-min", "2", "--n-max", "4", "--trials", "6",
          "--seed", "1234", "--per-trial"]),
@@ -62,7 +65,12 @@ CASES = (
        # Without --per-trial: results.csv alone.
        ("sweep config2 N=2-3 trials=4 horizon=5", "config2",
         ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "4",
-         "--seed", "1234", "--set", "horizon=5"])]
+         "--seed", "1234", "--set", "horizon=5"]),
+       # Off the default spacing: the sweep steps against a field solved at it.
+       # Every trial fails by 5 s, so only trials.csv's centres see the field.
+       ("sweep config2 N=2-3 trials=4 horizon=5 spacing=0.05", "config2",
+        ["sweep", "--n-min", "2", "--n-max", "3", "--trials", "4",
+         "--seed", "1234", "--per-trial", "--set", "horizon=5", "--set", "spacing=0.05"])]
 )
 # The cases whose output CSV `plot` draws, by label: the file it reads, and
 # whether `plot` also reads the case's config, for the arena and the food.

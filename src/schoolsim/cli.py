@@ -190,8 +190,9 @@ def cmd_sweep(args) -> int:
 
     n_values = list(range(sw.n_min, sw.n_max + 1))
     t0 = time.perf_counter()
+    fld = solve_field(spec.trial.arena, spec.trial.food, spacing=spec.spacing)
     results, trials = run_sweep(spec.trial, n_values, sw.trials, sw.base_seed,
-                                parallelism=sw.jobs, spacing=spec.spacing)
+                                parallelism=sw.jobs, field=fld)
     elapsed = time.perf_counter() - t0
     _write_manifest(args, man_path, overrides, spec, per_trial=args.per_trial)
     tables.write(results_path, "results", [results.values()])

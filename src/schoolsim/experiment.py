@@ -119,10 +119,9 @@ def initial_state(config: TrialConfig, rng: "np.random.Generator") -> SwarmState
     return SwarmState(0.0, pos, np.zeros_like(pos))
 
 
-def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
-               spacing: float = DEFAULT_SPACING, traj_stride: int = 0):
+def run_trials(config: TrialConfig, seeds, field: ScentField, *, traj_stride: int = 0):
     """Run one trial of config per seed (config.seed is ignored), all stepped
-    as one batch.  The field is solved when not supplied.
+    as one batch against field.
 
     Returns ``(columns, wall_clock, samples)``.  columns maps each endpoint
     measure to one row per seed, under the names of the trials CSV header:
@@ -136,8 +135,6 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
     """
     if traj_stride < 0:
         raise ValueError(f"traj_stride must be >= 0, got {traj_stride}")
-    if field is None:
-        field = solve_field(config.arena, config.food, spacing)
     started = time.perf_counter()
     rngs = [np.random.default_rng(seed) for seed in seeds]
     pos = np.stack([initial_state(config, rng).positions for rng in rngs])
@@ -171,8 +168,11 @@ def run_trials(config: TrialConfig, seeds, field: ScentField | None = None, *,
 def run_trial(config: TrialConfig, field: ScentField | None = None, *,
               spacing: float = DEFAULT_SPACING,
               traj_stride: int = 0) -> TrialOutcome:
-    """Run the trial seeded by config.seed: run_trials on a batch of one."""
-    columns, wall_clock, samples = run_trials(config, [config.seed], field, spacing=spacing,
+    """Run the trial seeded by config.seed: run_trials on a batch of one.
+    The one runner that solves the field, at spacing, when none is given."""
+    if field is None:
+        field = solve_field(config.arena, config.food, spacing)
+    columns, wall_clock, samples = run_trials(config, [config.seed], field,
                                               traj_stride=traj_stride)
     return TrialOutcome(columns["outcome"][0],
                         Vec2(columns["final_center_x"].item(), columns["final_center_y"].item()),
@@ -181,9 +181,8 @@ def run_trial(config: TrialConfig, field: ScentField | None = None, *,
 
 
 def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
-              parallelism: int = 1, *, spacing: float = DEFAULT_SPACING,
-              field: ScentField | None = None) -> tuple[dict, dict]:
-    """Run `trials` trials at every school size in n_values.
+              parallelism: int = 1, *, field: ScentField) -> tuple[dict, dict]:
+    """Run `trials` trials at every school size in n_values against field.
 
     Returns ``(results, trials)``, two tables of columns keyed by the
     results and trials CSV headers, in their order.  results holds one row
@@ -204,8 +203,6 @@ def run_sweep(base: TrialConfig, n_values, trials: int, base_seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if field is None:
-        field = solve_field(base.arena, base.food, spacing)
     n_shards = min(trials, max(parallelism, -(-trials // SHARD_TRIALS)))
     blocks = np.array_split(np.arange(trials), n_shards)
     # uint64, as a seed may exceed 2**63 - 1; tolist() gives the shards ints.

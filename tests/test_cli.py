@@ -13,11 +13,12 @@ from pathlib import Path
 import numpy
 import pytest
 
-from schoolsim import cli
+from schoolsim import cli, tables
 from schoolsim.cli import main
 from schoolsim.config import parse_config, parse_config_dict
+from schoolsim.experiment import run_sweep
 from schoolsim.plots import RAMP
-from schoolsim.scent import read_field_csv
+from schoolsim.scent import read_field_csv, solve_field
 
 from helpers import heatmap_image
 
@@ -280,6 +281,27 @@ def test_bad_config_exits_1_and_writes_nothing(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, payload, message", [
+    (["run", "--set", "=1"], QUICK, "--set needs a non-empty path, got '=1'"),
+    (["run"], {"builtin": "config2", "classifier": {"kind": 3}},
+     "classifier.kind: expected a string, got 3"),
+    (["run"], {"builtin": "config2", "arena": {"obstacles": {}}},
+     "arena.obstacles: expected a list"),
+    (["run"], {"builtin": 3}, "builtin: expected a preset name, got 3"),
+    # The config layer passes any spacing through; the solve refuses it.
+    (["solve-field", "--spacing", "0"], QUICK, "spacing must be positive and finite, got 0.0"),
+    (["sweep", "--set", "spacing=NaN", "--n-min", "2", "--n-max", "2", "--trials", "1",
+      "--seed", "9"], QUICK, "spacing must be positive and finite, got nan"),
+], ids=["set-empty-path", "classifier-kind", "obstacles-object", "builtin-number",
+        "spacing-zero", "spacing-nan"])
+def test_a_refused_input_exits_1_naming_it(tmp_path, capsys, argv, payload, message):
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main([argv[0], "--config", str(cfg), "--out", str(out), *argv[1:]]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_a_moved_food_needs_its_classifier_moved_too(tmp_path, capsys):
     # config1's classifier counts success within 1 of the food's centre.
     cfg = write_cfg(tmp_path, {"builtin": "config1-left", "spacing": 0.1,
@@ -352,6 +374,26 @@ def test_sweep_counts_equal_the_per_trial_outcomes(tmp_path, jobs):
     assert {name for _, name in tally} == {"Failure", "PreSuccess", "Success"}
 
 
+def test_sweep_steps_against_a_field_at_the_resolved_spacing(tmp_path):
+    # The preset's spacing is 0.02; the sweep solves its field at the 0.05 of
+    # --set and writes the tables of run_sweep against that field.
+    cfg = write_cfg(tmp_path, {"builtin": "config2", "overrides": {"horizon": 0.5, "n_fish": 4}})
+    sets = {"spacing": 0.05, "classifier.kind": "band-three-state",
+            "classifier.left_threshold": 1.4, "classifier.right_threshold": 1.6}
+    out = tmp_path / "sweep"
+    trial = parse_config(cfg, sets).trial
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 0.05 is coarser than half the food radius
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--n-min", "2", "--n-max", "3", "--trials", "6", "--seed", "5", "--per-trial",
+                     *[a for k, v in sets.items() for a in ("--set", f"{k}={v}")]]) == 0
+        field = solve_field(trial.arena, trial.food, spacing=0.05)
+    for kind, table in zip(("results", "trials"), run_sweep(trial, [2, 3], 6, 5, field=field)):
+        path = tmp_path / f"{kind}.csv"
+        tables.write(path, kind, [table.values()])
+        assert path.read_bytes() == (out / f"{kind}.csv").read_bytes()
+
+
 # ----------------------------------------------------------------------- plot
 
 @pytest.fixture()
@@ -414,6 +456,14 @@ def test_a_command_that_fails_on_its_input_creates_no_out_dir(tmp_path, name, te
     out = tmp_path / "out"
     assert main([*argv, str(path), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_plot_of_a_missing_input_exits_1_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    out = tmp_path / "out"
+    assert main(["plot", "--input", str(missing), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_plot_rejects_unknown_csv(tmp_path):

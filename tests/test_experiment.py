@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import os
 import warnings
 
@@ -215,6 +216,16 @@ def test_run_trials_equals_each_trial_alone(config2, field_config2, b, n, first,
             assert g.time == w.time
             np.testing.assert_array_equal(g.positions, w.positions)
             np.testing.assert_array_equal(g.velocities, w.velocities)
+
+
+def test_the_batch_runners_step_against_the_field_they_are_given(config2):
+    # run_trial alone solves a missing field; the batch runners take no spacing
+    for runner in (run_trials, run_sweep):
+        assert "spacing" not in inspect.signature(runner).parameters
+    with pytest.raises(TypeError, match="field"):
+        run_trials(config2, [1])
+    with pytest.raises(TypeError, match="field"):
+        run_sweep(config2, [2], 1, 7)
 
 
 # --------------------------------------------------------------------- sweeps
